@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import time
 from typing import Callable, Dict, Mapping, Tuple
 
@@ -71,6 +72,55 @@ def merge_bench_json(name: str, section: str, payload: Mapping, directory: str =
         pass
     results[section] = dict(payload)
     return write_bench_json(name, results, directory=directory)
+
+
+def current_commit(directory: str = ".") -> str:
+    """Short hash of the checked-out commit, for labelling bench results.
+
+    ``+dirty`` is appended when ``src/`` has uncommitted changes, so a
+    number is never credited to a commit that did not produce it;
+    ``"unknown"`` outside a git checkout.
+    """
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=directory, capture_output=True, text=True,
+            check=True,
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--", "src")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return commit + ("+dirty" if dirty else "")
+
+
+def merge_bench_section_with_previous(
+    name: str, section: str, payload: Mapping, directory: str = "."
+) -> str:
+    """Merge ``payload`` (which carries a ``"commit"``) as ``section``,
+    keeping a before/after pair.
+
+    The section's last result from a *different* commit is kept under
+    ``"previous"``; re-running at the same commit keeps the existing
+    ``"previous"``. So running the bench at a parent commit and then at
+    its change leaves both numbers side by side. Returns the path
+    written.
+    """
+    path = os.path.join(directory, f"BENCH_{name}.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            old = json.load(fh)["results"][section]
+    except (OSError, ValueError, KeyError, TypeError):
+        old = None
+    entry = dict(payload)
+    if isinstance(old, dict):
+        if old.get("commit") != entry.get("commit"):
+            entry["previous"] = {k: v for k, v in old.items() if k != "previous"}
+        elif "previous" in old:
+            entry["previous"] = old["previous"]
+    return merge_bench_json(name, section, entry, directory=directory)
 
 
 def run_once(benchmark, fn: Callable):

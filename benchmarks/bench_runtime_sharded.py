@@ -4,15 +4,29 @@ Not a paper table — these quantify the record-level execution layer:
 
 - sharded-executor throughput in records/s of wall-clock across the
   degenerate, semantic, and paced modes (the price of real records vs
-  the fluid model's rate arithmetic);
+  the fluid model's rate arithmetic), written to ``BENCH_perf.json``
+  section ``runtime_sharded`` as ``<mode>_records_per_s`` with the
+  commit that produced it and, under ``previous``, the last result of
+  another commit (run it at a parent and then at its change for a
+  before/after pair);
 - the fluid-vs-runtime cross-validation harness end to end, reporting
   the measured prediction errors alongside the timing.
+
+There is no smoke mode: every run is the full 20k-event stream, so the
+section records ``"smoke": false``.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_runtime_sharded.py -q -s
 """
 
 import sys
 
 sys.path.insert(0, "benchmarks")
-from _helpers import merge_bench_json, run_once
+from _helpers import (
+    current_commit,
+    merge_bench_json,
+    merge_bench_section_with_previous,
+    run_once,
+)
 
 from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
@@ -82,7 +96,16 @@ def test_sharded_executor_modes(benchmark):
         return rates
 
     rates = run_once(benchmark, study)
-    merge_bench_json("perf", "runtime_sharded", rates)
+    merge_bench_section_with_previous(
+        "perf",
+        "runtime_sharded",
+        {
+            "commit": current_commit(),
+            "smoke": False,
+            "workload": "Q1 hot items over the bids of a 20k-event stream",
+            **{f"{mode}_records_per_s": rate for mode, rate in rates.items()},
+        },
+    )
     assert all(rate > 0 for rate in rates.values())
 
 

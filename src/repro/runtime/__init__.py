@@ -35,7 +35,7 @@ from repro.runtime.windows import (
     TumblingWindows,
     Window,
 )
-from repro.runtime.state import KeyedState, StateStats
+from repro.runtime.state import KeyedState, SizedCounter, StateStats
 from repro.runtime.operators import (
     FilterOperator,
     FlatMapOperator,
@@ -78,6 +78,7 @@ __all__ = [
     "SlidingWindows",
     "SessionMerger",
     "KeyedState",
+    "SizedCounter",
     "StateStats",
     "Record",
     "Operator",

@@ -214,9 +214,10 @@ class SessionWindowOperator(Operator):
 
     def on_watermark(self, watermark_ms: int) -> List[Record]:
         closed: List[Tuple[int, Tuple[str, Any], int, int, Record]] = []
-        for key in list(self.merger.keys()):
+        # only keys with a closed session, in first-seen key order
+        for key, windows in self.merger.expire_due(watermark_ms):
             token = _session_key_token(key)
-            for window in self.merger.expire_before(key, watermark_ms):
+            for window in windows:
                 accumulator = self.state.get((key, window))
                 record = Record(
                     window.end_ms - 1,

@@ -30,6 +30,7 @@ from repro.runtime.operators import (
     WindowJoinOperator,
 )
 from repro.runtime.parallel import PipelineTemplate
+from repro.runtime.state import SizedCounter
 from repro.runtime.windows import SlidingWindows, Window
 from repro.workloads.nexmark import Auction, Bid, Person
 
@@ -54,9 +55,8 @@ def hot_items_template(
     template onto that logical graph's physical expansion.
     """
 
-    def add(acc, bid: Bid):
-        acc = dict(acc)
-        acc[bid.auction_id] = acc.get(bid.auction_id, 0) + 1
+    def add(acc: SizedCounter, bid: Bid) -> SizedCounter:
+        acc.increment(bid.auction_id)
         return acc
 
     def result(_key, window: Window, acc):
@@ -68,7 +68,7 @@ def hot_items_template(
             "sliding_window",
             assigner=SlidingWindows(window_ms, slide_ms),
             key_fn=lambda _bid: "all",  # global hot-items ranking
-            init_fn=dict,
+            init_fn=SizedCounter,
             add_fn=add,
             result_fn=result,
         )

@@ -9,8 +9,9 @@ merge on overlap, handled by :class:`SessionMerger`.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True, order=True)
@@ -87,6 +88,12 @@ class SessionMerger:
     Each element opens a proto-session ``[ts, ts + gap)``; overlapping
     proto-sessions of the same key merge. :meth:`add` returns the merged
     session the element now belongs to.
+
+    Every session is also indexed by its end in a min-heap of
+    ``(end_ms, first-seen rank, key)`` entries, so :meth:`expire_due`
+    finds the sessions a watermark closes without visiting every key.
+    The heap is lazy: a session merged away leaves its entry behind,
+    and the entry is dropped when it surfaces.
     """
 
     def __init__(self, gap_ms: int) -> None:
@@ -94,6 +101,8 @@ class SessionMerger:
             raise ValueError("gap must be positive")
         self.gap_ms = gap_ms
         self._sessions: Dict[object, List[Window]] = {}
+        self._ranks: Dict[object, int] = {}
+        self._ends: List[Tuple[int, int, object]] = []
 
     def add(self, key: object, timestamp_ms: int) -> Window:
         proto = Window(timestamp_ms, timestamp_ms + self.gap_ms)
@@ -108,6 +117,8 @@ class SessionMerger:
         keep.append(merged)
         keep.sort()
         self._sessions[key] = keep
+        rank = self._ranks.setdefault(key, len(self._ranks))
+        heapq.heappush(self._ends, (merged.end_ms, rank, key))
         return merged
 
     def sessions(self, key: object) -> List[Window]:
@@ -126,6 +137,28 @@ class SessionMerger:
         if closed:
             self._sessions[key] = [w for w in sessions if w.end_ms >= watermark_ms]
         return closed
+
+    def expire_due(self, watermark_ms: int) -> List[Tuple[object, List[Window]]]:
+        """Expire every session the watermark closes, key by key.
+
+        Returns ``(key, closed sessions)`` pairs for exactly the keys
+        that had a closed session, in first-seen order (the order of
+        :meth:`keys`), each key's sessions as :meth:`expire_before`
+        returns them.
+        """
+        due: Dict[int, object] = {}
+        ends = self._ends
+        while ends and ends[0][0] < watermark_ms:
+            end_ms, rank, key = heapq.heappop(ends)
+            # a merged-away or already expired session's entry is stale
+            if rank not in due and any(
+                w.end_ms == end_ms for w in self._sessions[key]
+            ):
+                due[rank] = key
+        return [
+            (key, self.expire_before(key, watermark_ms))
+            for _, key in sorted(due.items())
+        ]
 
     def keys(self) -> List[object]:
         return list(self._sessions.keys())
