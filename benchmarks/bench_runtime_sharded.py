@@ -3,8 +3,9 @@
 Not a paper table — these quantify the record-level execution layer:
 
 - sharded-executor throughput in records/s of wall-clock across the
-  degenerate, semantic, and paced modes (the price of real records vs
-  the fluid model's rate arithmetic), written to ``BENCH_perf.json``
+  degenerate (no physical graph, so ``Pipeline.run``), semantic, and
+  paced modes (the price of real records vs the fluid model's rate
+  arithmetic), written to ``BENCH_perf.json``
   section ``runtime_sharded`` as ``<mode>_records_per_s`` with the
   commit that produced it and, under ``previous``, the last result of
   another commit (run it at a parent and then at its change for a

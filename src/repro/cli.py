@@ -25,8 +25,9 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.controller.capsys import CAPSysController, ControllerConfig
 from repro.controller.guards import GuardConfig
@@ -35,7 +36,11 @@ from repro.dataflow.cluster import Cluster, M5D_2XLARGE, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
 from repro.experiments import enumerate_all_plans
 from repro.experiments.figures import convergence_timeline_rows
-from repro.experiments.validate_runtime import cross_validate, format_validation
+from repro.experiments.validate_runtime import (
+    SCENARIOS,
+    cross_validate,
+    format_validation,
+)
 from repro.experiments.reporting import box_stats, format_percent, format_table
 from repro.experiments.runner import simulate_plan, strategy_box_runs
 from repro.faults import ChaosSchedule, CheckpointConfig, ControlChaosSchedule
@@ -47,15 +52,69 @@ from repro.workloads import ALL_QUERIES, query_by_name
 from repro.workloads.rates import SquareWaveRate
 
 
+# ----------------------------------------------------------------------
+# Argument types: bad input fails in the parser with a usage error
+# ----------------------------------------------------------------------
+
+def _positive(kind: Callable[[str], float]) -> Callable[[str], float]:
+    """A numeric type that accepts only finite values above zero."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    return convert
+
+
+def _query_name(text: str) -> str:
+    try:
+        query_by_name(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _runtime_queries(text: str) -> Tuple[str, ...]:
+    queries = tuple(q.strip() for q in text.split(",") if q.strip())
+    known = ", ".join(sorted(SCENARIOS))
+    if not queries:
+        raise argparse.ArgumentTypeError(f"no query given; known: {known}")
+    for query in queries:
+        if query not in SCENARIOS:
+            raise argparse.ArgumentTypeError(
+                f"unknown query {query!r}; known: {known}"
+            )
+    return queries
+
+
+def _schedule(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """A chaos-spec type: ``parse``'s ValueError becomes a usage error."""
+
+    def convert(spec: str):
+        try:
+            return parse(spec) if spec else None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
 def _cluster(args: argparse.Namespace) -> Cluster:
     spec = {"r5d": R5D_XLARGE, "m5d": M5D_2XLARGE}[args.instance]
     return Cluster.homogeneous(spec.with_slots(args.slots), count=args.workers)
 
 
 def _add_cluster_args(parser: argparse.ArgumentParser, workers=4, slots=8) -> None:
-    parser.add_argument("--workers", type=int, default=workers,
+    parser.add_argument("--workers", type=_positive(int), default=workers,
                         help="number of workers")
-    parser.add_argument("--slots", type=int, default=slots,
+    parser.add_argument("--slots", type=_positive(int), default=slots,
                         help="slots per worker")
     parser.add_argument("--instance", choices=("r5d", "m5d"), default="m5d",
                         help="worker hardware preset")
@@ -65,7 +124,7 @@ def _add_search_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--search-backend", choices=SEARCH_BACKENDS,
                         default="sequential",
                         help="placement search backend (process = multicore)")
-    parser.add_argument("--jobs", type=int, default=None,
+    parser.add_argument("--jobs", type=_positive(int), default=None,
                         help="worker count for parallel search backends "
                              "(default: one per core)")
 
@@ -97,10 +156,12 @@ def _controller_config(args: argparse.Namespace) -> ControllerConfig:
 def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--chaos", metavar="SPEC", default=None,
+        type=_schedule(ChaosSchedule.parse),
         help="deterministic fault schedule, e.g. "
              "'crash:w3@120,recover:w3@300,disk:w1@60x0.4'")
     parser.add_argument(
         "--control-chaos", metavar="SPEC", default=None,
+        type=_schedule(ControlChaosSchedule.parse),
         help="deterministic control-plane fault schedule (degraded "
              "telemetry / failing deploys), e.g. "
              "'metric_corrupt:opwork@300for60,deploy_fail:@600x2'; "
@@ -110,21 +171,10 @@ def _add_chaos_args(parser: argparse.ArgumentParser) -> None:
         help="disable the control-plane guard pipeline (ablation: the "
              "controller trusts whatever --control-chaos feeds it)")
     parser.add_argument(
-        "--checkpoint-interval", type=float, default=None, metavar="S",
+        "--checkpoint-interval", type=_positive(float), default=None,
+        metavar="S",
         help="enable the checkpoint/restore model with this interval; "
              "crash recovery then pays restore + replay downtime")
-
-
-def _chaos_schedule(args: argparse.Namespace) -> Optional[ChaosSchedule]:
-    spec = getattr(args, "chaos", None)
-    return ChaosSchedule.parse(spec) if spec else None
-
-
-def _control_chaos_schedule(
-    args: argparse.Namespace,
-) -> Optional[ControlChaosSchedule]:
-    spec = getattr(args, "control_chaos", None)
-    return ControlChaosSchedule.parse(spec) if spec else None
 
 
 def _add_diagnose_arg(parser: argparse.ArgumentParser) -> None:
@@ -324,8 +374,8 @@ def cmd_autoscale(args: argparse.Namespace) -> int:
         tracer=tracer,
         registry=registry,
     )
-    chaos = _chaos_schedule(args)
-    control_chaos = _control_chaos_schedule(args)
+    chaos = args.chaos
+    control_chaos = args.control_chaos
     result = controller.run_adaptive(
         {op: pattern for op in graph.sources()},
         duration_s=args.duration,
@@ -402,7 +452,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_runtime(args: argparse.Namespace) -> int:
-    queries = tuple(q.strip() for q in args.queries.split(",") if q.strip())
+    queries = args.queries
     tracer, registry = _observability(
         args, f"validate-runtime/{','.join(queries)}"
     )
@@ -439,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("place", help="profile, size, place, and simulate")
-    p.add_argument("query")
+    p.add_argument("query", type=_query_name)
     p.add_argument("--strategy", choices=("caps", "default", "evenly"),
                    default="caps")
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--rate", type=_positive(float), default=None,
                    help="target rate per source (defaults to the preset)")
-    p.add_argument("--duration", type=float, default=420.0)
+    p.add_argument("--duration", type=_positive(float), default=420.0)
     p.add_argument("--seed", type=int, default=0)
     _add_cluster_args(p)
     _add_search_args(p)
@@ -454,10 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_place)
 
     p = sub.add_parser("compare", help="CAPS vs Flink baselines")
-    p.add_argument("query")
-    p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--duration", type=float, default=420.0)
+    p.add_argument("query", type=_query_name)
+    p.add_argument("--runs", type=_positive(int), default=5)
+    p.add_argument("--rate", type=_positive(float), default=None)
+    p.add_argument("--duration", type=_positive(float), default=420.0)
     _add_cluster_args(p)
     _add_search_args(p)
     _add_obs_args(p)
@@ -465,10 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("autoscale", help="adaptive DS2 + placement loop")
-    p.add_argument("query")
+    p.add_argument("query", type=_query_name)
     p.add_argument("--strategy", choices=("caps", "default"), default="caps")
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--duration", type=float, default=2700.0)
+    p.add_argument("--rate", type=_positive(float), default=None)
+    p.add_argument("--duration", type=_positive(float), default=2700.0)
     _add_cluster_args(p, workers=8)
     _add_search_args(p)
     _add_chaos_args(p)
@@ -478,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_autoscale)
 
     p = sub.add_parser("explore", help="enumerate the placement space")
-    p.add_argument("query")
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--limit", type=int, default=120,
+    p.add_argument("query", type=_query_name)
+    p.add_argument("--rate", type=_positive(float), default=None)
+    p.add_argument("--limit", type=_positive(int), default=120,
                    help="max plans to simulate")
     _add_cluster_args(p, workers=4, slots=4)
     _add_obs_args(p)
@@ -491,11 +541,11 @@ def build_parser() -> argparse.ArgumentParser:
         "validate-runtime",
         help="cross-validate the fluid model against the sharded runtime",
     )
-    p.add_argument("--queries", default="q1,q2,q6",
+    p.add_argument("--queries", type=_runtime_queries, default="q1,q2,q6",
                    help="comma-separated subset of q1,q2,q6")
-    p.add_argument("--duration", type=float, default=12.0)
+    p.add_argument("--duration", type=_positive(float), default=12.0)
     p.add_argument("--warmup", type=float, default=2.0)
-    p.add_argument("--rate-scale", type=float, default=1.0,
+    p.add_argument("--rate-scale", type=_positive(float), default=1.0,
                    help="multiply the per-query target rates")
     p.add_argument("--seed", type=int, default=7,
                    help="Nexmark generator seed")

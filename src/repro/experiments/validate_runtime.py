@@ -142,7 +142,8 @@ def q6_scenario(
     )
 
 
-_SCENARIOS = {"q1": q1_scenario, "q2": q2_scenario, "q6": q6_scenario}
+#: validate-runtime query name -> scenario builder.
+SCENARIOS = {"q1": q1_scenario, "q2": q2_scenario, "q6": q6_scenario}
 
 
 def default_cluster() -> Cluster:
@@ -173,9 +174,9 @@ def cross_validate(
     rows: List[ValidationRow] = []
     for query in queries:
         try:
-            scenario_fn = _SCENARIOS[query]
+            scenario_fn = SCENARIOS[query]
         except KeyError:
-            known = ", ".join(sorted(_SCENARIOS))
+            known = ", ".join(sorted(SCENARIOS))
             raise ValueError(f"unknown query {query!r}; known: {known}") from None
         scenario = scenario_fn(duration_s, rate_scale, seed)
         physical = PhysicalGraph.expand(scenario.graph)

@@ -22,9 +22,10 @@ and single-instance — the semantic reference. The *sharded* executor
 hash-partitioned operator instances per logical operator under a
 placement from the placement layer, connected by bounded channels with
 credit-based backpressure (:mod:`repro.runtime.channels`); everything
-still runs deterministically in one process, and its ``parallelism=1``
-degenerate mode reproduces ``Pipeline.run`` outputs exactly. The
-cross-validation harness
+still runs deterministically in one process. Given no physical graph
+it simply runs ``Pipeline.run``; on a physical graph with every
+operator at parallelism 1 its scheduler reproduces ``Pipeline.run``'s
+outputs and statistics exactly. The cross-validation harness
 (:mod:`repro.experiments.validate_runtime`) uses it to check the fluid
 simulator's predictions against actual record execution.
 """

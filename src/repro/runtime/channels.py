@@ -59,9 +59,7 @@ class BoundedChannel:
     Args:
         name: Diagnostic name, conventionally ``"src_uid->dst_uid"``.
         capacity: Credit budget in data records; ``None`` disables the
-            credit check entirely (used by the exact degenerate mode,
-            which replays the single-threaded executor's unbounded
-            depth-first pushes).
+            credit check entirely.
     """
 
     __slots__ = ("name", "capacity", "stats", "_items", "_occupancy")

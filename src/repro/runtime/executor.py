@@ -51,6 +51,26 @@ class PipelineResult:
         return self.state_stats[operator].io_bytes / stats.records_in
 
 
+def check_chain_shape(source_count: int, operators: Sequence[Operator]) -> None:
+    """Reject chains the executors cannot run.
+
+    A chain needs a source and an operator; a join head takes exactly
+    two sources, any other head exactly one, and a join may only be the
+    head.
+    """
+    if not source_count:
+        raise ValueError("pipeline has no source")
+    if not operators:
+        raise ValueError("pipeline has no operators")
+    if isinstance(operators[0], WindowJoinOperator):
+        if source_count != 2:
+            raise ValueError("a join pipeline needs exactly two sources")
+    elif source_count != 1:
+        raise ValueError("a single-input pipeline needs exactly one source")
+    if any(isinstance(op, WindowJoinOperator) for op in operators[1:]):
+        raise ValueError("a join operator must be the chain head")
+
+
 class Pipeline:
     """One or two sources feeding a linear operator chain."""
 
@@ -83,21 +103,8 @@ class Pipeline:
     # ------------------------------------------------------------------
     def run(self, allowed_lateness_ms: int = 0) -> PipelineResult:
         """Execute to completion and return outputs plus statistics."""
-        if not self._sources:
-            raise ValueError("pipeline has no source")
-        if not self._operators:
-            raise ValueError("pipeline has no operators")
+        check_chain_shape(len(self._sources), self._operators)
         head = self._operators[0]
-        if isinstance(head, WindowJoinOperator):
-            if len(self._sources) != 2:
-                raise ValueError("a join pipeline needs exactly two sources")
-        elif len(self._sources) != 1:
-            raise ValueError("a single-input pipeline needs exactly one source")
-        if any(
-            isinstance(op, WindowJoinOperator) for op in self._operators[1:]
-        ):
-            raise ValueError("a join operator must be the chain head")
-
         outputs: List[Record] = []
         ingested = 0
         watermark = -(2**62)

@@ -15,18 +15,19 @@ double runs are byte-identical (the CI gate diffs their traces), and
 hash partitioning uses ``crc32`` over key reprs rather than Python's
 salted ``hash``.
 
-Three execution modes share one machinery:
+What runs depends on what the executor is given:
 
-- **Exact degenerate mode** (every operator at parallelism 1, no
-  cluster): a lockstep scheduler releases source records in the same
-  globally merged ``(timestamp, source order, sequence)`` order as
-  :meth:`Pipeline.run <repro.runtime.executor.Pipeline.run>` and fully
-  drains the network between releases. Outputs, per-operator counters
-  and state statistics reproduce the single-threaded executor *exactly*
-  — the anchor that pins the sharded semantics to the existing runtime.
-- **Semantic mode** (parallelism > 1, no cluster): sources release
+- **No physical graph**: nothing is sharded. The template runs once
+  through :meth:`Pipeline.run <repro.runtime.executor.Pipeline.run>`,
+  the single-instance semantic reference, and the result is wrapped as
+  a :class:`ShardedResult` with no channels.
+- **Semantic mode** (physical graph, no cluster): sources release
   freely against bounded channels; used to test partitioned semantics,
-  credit backpressure and determinism without a performance model.
+  credit backpressure and determinism without a performance model. With
+  every operator at parallelism 1 the scheduler reproduces
+  ``Pipeline.run``'s outputs, operator counters and state statistics
+  bitwise on Q1, Q2 and Q6 (``tests/test_runtime_parallel.py`` and
+  ``tests/test_runtime_state_pins.py`` check this).
 - **Paced mode** (cluster + placement): virtual time advances in fixed
   slices; per-slice record budgets are derived from the *same*
   contention primitives as the fluid simulator (service floor,
@@ -44,7 +45,6 @@ deadlock behind a full buffer.
 
 from __future__ import annotations
 
-import heapq
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.runtime.channels import BoundedChannel, ChannelStats, ITEM_WATERMARK
-from repro.runtime.executor import Pipeline, PipelineResult
+from repro.runtime.executor import Pipeline, PipelineResult, check_chain_shape
 from repro.runtime.operators import (
     MapOperator,
     Operator,
@@ -144,24 +144,14 @@ class PipelineTemplate:
 
     def validate(self) -> None:
         """The assembly checks of :meth:`Pipeline.run`, pre-flight."""
-        if not self.sources:
-            raise ValueError("pipeline has no source")
-        if not self.stages:
-            raise ValueError("pipeline has no operators")
         operators = [stage.factory() for stage in self.stages]
+        check_chain_shape(len(self.sources), operators)
         for stage, op in zip(self.stages, operators):
             if op.name != stage.name:
                 raise ValueError(
                     f"stage {stage.name!r} factory built operator "
                     f"named {op.name!r}"
                 )
-        if isinstance(operators[0], WindowJoinOperator):
-            if len(self.sources) != 2:
-                raise ValueError("a join pipeline needs exactly two sources")
-        elif len(self.sources) != 1:
-            raise ValueError("a single-input pipeline needs exactly one source")
-        if any(isinstance(op, WindowJoinOperator) for op in operators[1:]):
-            raise ValueError("a join operator must be the chain head")
 
     def build_pipeline(self) -> Pipeline:
         """Assemble a classic single-threaded :class:`Pipeline`."""
@@ -240,28 +230,16 @@ class RuntimeJobSummary:
 
 
 @dataclass
-class ShardedResult:
-    """Outputs and statistics of one sharded execution."""
+class ShardedResult(PipelineResult):
+    """A :class:`PipelineResult` plus per-instance and channel views.
 
-    outputs: List[Record]
-    operator_stats: Dict[str, OperatorStats]
+    ``operator_stats`` and ``state_stats`` sum each logical operator's
+    instances; ``summary`` is set in paced mode only.
+    """
+
     instance_stats: Dict[str, OperatorStats]
-    state_stats: Dict[str, StateStats]
     channel_stats: Dict[str, ChannelStats]
-    records_ingested: int
     summary: Optional[RuntimeJobSummary] = None
-
-    def output_values(self) -> List[Any]:
-        return [record.value for record in self.outputs]
-
-    def to_pipeline_result(self) -> PipelineResult:
-        """Project onto the single-threaded result type (parity checks)."""
-        return PipelineResult(
-            outputs=list(self.outputs),
-            operator_stats=dict(self.operator_stats),
-            state_stats=dict(self.state_stats),
-            records_ingested=self.records_ingested,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +352,8 @@ class ShardedExecutor:
         physical: Physical graph whose logical operators carry the
             template's stage names; logical operators not named by a
             stage become identity relays (e.g. Q2's maps). ``None``
-            builds a degenerate single-instance topology straight from
-            the template (exact mode).
+            runs the template once through ``Pipeline.run``: one
+            instance per stage and no channels.
         plan: Task placement; required with ``cluster``.
         cluster: Worker capacities. Providing a cluster turns on paced
             mode: virtual-time pacing with fluid-model record budgets.
@@ -419,20 +397,12 @@ class ShardedExecutor:
         self._instances: List[_Instance] = []
         self._sources: List[List[_Instance]] = []  # per template source
         self._channels: List[BoundedChannel] = []
-        self._stage_names = [stage.name for stage in template.stages]
 
         if physical is None:
-            self._build_degenerate()
-        else:
-            self._build_from_physical()
-
-        self.exact_mode = cluster is None and all(
-            len(self._op_instances[name]) == 1 for name in self._op_instances
-        )
-        self.job_id = (
-            physical.logical_graphs[0].job_id if physical is not None
-            else template.name
-        )
+            self.job_id = template.name
+            return
+        self._build_from_physical()
+        self.job_id = physical.logical_graphs[0].job_id
         if cluster is not None:
             self._build_cost_model()
 
@@ -447,46 +417,6 @@ class ShardedExecutor:
     def _register(self, inst: _Instance) -> None:
         self._instances.append(inst)
         self._op_instances.setdefault(inst.operator_name, []).append(inst)
-
-    def _build_degenerate(self) -> None:
-        """Template-only topology: one instance per source and stage."""
-        self._op_instances: Dict[str, List[_Instance]] = {}
-        capacity = self.config.channel_capacity_records  # None => unbounded
-        stage_instances: List[_Instance] = []
-        for stage in self.template.stages:
-            inst = _Instance(stage.name, 0, f"{stage.name}[0]")
-            inst.operator = stage.factory()
-            self._register(inst)
-            stage_instances.append(inst)
-        head = stage_instances[0]
-        head_is_join = isinstance(head.operator, WindowJoinOperator)
-        for side_index, source in enumerate(self.template.sources):
-            inst = _Instance(source.tag, 0, f"{source.tag}[0]")
-            inst.is_source = True
-            inst.records = source.records
-            self._register(inst)
-            self._sources.append([inst])
-            channel = self._new_channel(f"{inst.uid}->{head.uid}", capacity)
-            side = (
-                (WindowJoinOperator.LEFT, WindowJoinOperator.RIGHT)[side_index]
-                if head_is_join else None
-            )
-            head.in_channels.append(channel)
-            head.in_sides.append(side)
-            head.in_watermarks.append(_MIN_WATERMARK)
-            inst.out_groups.append(
-                _OutGroup(head.operator_name, [channel], _FORWARD, None)
-            )
-        for upstream, downstream in zip(stage_instances, stage_instances[1:]):
-            channel = self._new_channel(
-                f"{upstream.uid}->{downstream.uid}", capacity
-            )
-            downstream.in_channels.append(channel)
-            downstream.in_sides.append(None)
-            downstream.in_watermarks.append(_MIN_WATERMARK)
-            upstream.out_groups.append(
-                _OutGroup(downstream.operator_name, [channel], _FORWARD, None)
-            )
 
     def _build_from_physical(self) -> None:
         """Instantiate the template onto a physical graph's tasks."""
@@ -632,16 +562,13 @@ class ShardedExecutor:
         Mirrors the fluid engine's buffer sizing: bytes-derived caps,
         debloated to ``max_buffer_seconds`` of uncontended service, then
         split across the instance's input channels. Without a cluster
-        there is no service model, so a flat default applies; exact
-        mode (parallelism 1, no cluster) leaves channels unbounded to
-        replay the single-threaded executor's unbounded pushes.
+        there is no service model, so every channel gets the flat
+        ``default_channel_records``. A fixed
+        ``channel_capacity_records`` overrides both.
         """
         cfg = self.config
         capacities: Dict[str, Optional[int]] = {}
         fixed = cfg.channel_capacity_records
-        all_single = all(
-            graph.parallelism(op) == 1 for op in graph.operators
-        )
         for op in graph.topological_order():
             spec = graph.operator(op)
             for inst in instances_of[op]:
@@ -651,9 +578,7 @@ class ShardedExecutor:
                     capacities[inst.uid] = fixed
                     continue
                 if self.cluster is None:
-                    capacities[inst.uid] = (
-                        None if all_single else cfg.default_channel_records
-                    )
+                    capacities[inst.uid] = cfg.default_channel_records
                     continue
                 in_edges = graph.upstream(op)
                 in_bytes = max(
@@ -925,75 +850,47 @@ class ShardedExecutor:
         """Execute and return outputs plus statistics.
 
         ``duration_s``/``warmup_s`` only apply to paced mode (a virtual
-        wall to run to, and the summary's warmup cut); exact and
-        semantic modes always run their datasets to completion.
+        wall to run to, and the summary's warmup cut); the single-
+        instance and semantic modes always run their datasets to
+        completion.
         """
-        if self.exact_mode:
-            self._run_exact()
-            summary = None
-        elif self.cluster is None:
+        if self.physical is None:
+            return self._run_single_instance()
+        if self.cluster is None:
             self._run_semantic()
             summary = None
         else:
             summary = self._run_paced(duration_s, warmup_s)
         return self._result(summary)
 
-    # -- exact degenerate mode -----------------------------------------
-    def _run_exact(self) -> None:
-        """Lockstep replay of ``Pipeline.run``'s merged-source schedule."""
-        lateness = self.config.allowed_lateness_ms
-        source_instances = [members[0] for members in self._sources]
-
-        def tagged(order: int, inst: _Instance):
-            for seq, record in enumerate(inst.records):
-                yield (record.timestamp_ms, order, seq, inst, record)
-
-        streams = [
-            tagged(order, inst) for order, inst in enumerate(source_instances)
-        ]
-        merged = heapq.merge(*streams, key=lambda item: item[:3])
-        for timestamp, _order, _seq, inst, record in merged:
-            inst.pos += 1
-            inst.released += 1
-            self._route(inst, [record], force=False)
-            self._drain()
-            # the single-threaded executor advances one *global*
-            # watermark on every merged record; every source broadcasts
-            # it so min-combining downstream reproduces it exactly even
-            # after one source is exhausted
-            watermark = timestamp - lateness
-            for source in source_instances:
-                self._broadcast_watermark(source, watermark)
-            self._drain()
-        for source in source_instances:
-            source.end_sent = True
-            self._broadcast_watermark(source, _END_OF_TIME)
-        self._drain()
+    # -- single instance: the reference executor -----------------------
+    def _run_single_instance(self) -> ShardedResult:
+        result = self.template.build_pipeline().run(
+            self.config.allowed_lateness_ms
+        )
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.event(
                 "sim", "runtime.exact.done", 0.0, cat="runtime",
                 args={
                     "job": self.job_id,
-                    "ingested": sum(s.released for s in source_instances),
-                    "outputs": len(self._outputs),
+                    "ingested": result.records_ingested,
+                    "outputs": len(result.outputs),
                 },
             )
+        self._publish_metrics(result.operator_stats, result.records_ingested)
+        return ShardedResult(
+            outputs=result.outputs,
+            operator_stats=result.operator_stats,
+            state_stats=result.state_stats,
+            records_ingested=result.records_ingested,
+            instance_stats={
+                f"{name}[0]": stats
+                for name, stats in result.operator_stats.items()
+            },
+            channel_stats={},
+        )
 
-    def _drain(self) -> None:
-        """Process until every channel is empty (unbounded budgets)."""
-        progressed = True
-        while progressed:
-            progressed = False
-            for inst in self._instances:
-                if inst.is_source:
-                    continue
-                while True:
-                    _, turn_progress, _ = self._operator_turn(inst, math.inf)
-                    if not turn_progress:
-                        break
-                    progressed = True
-
-    # -- semantic mode (parallel, no performance model) ----------------
+    # -- semantic mode (physical graph, no performance model) ---------
     def _run_semantic(self) -> None:
         slice_index = 0
         while True:

@@ -1,15 +1,19 @@
 """The evaluation queries as record-level streaming pipelines.
 
-Each builder assembles a :class:`~repro.runtime.executor.Pipeline` whose
-operators mirror the logical graphs of :mod:`repro.workloads.queries`,
+Each builder returns a :class:`~repro.runtime.parallel.PipelineTemplate`
+whose stages mirror the logical graphs of :mod:`repro.workloads.queries`,
 executing the actual Nexmark semantics the paper's queries compute:
 
-- :func:`hot_items_pipeline` — Q1-sliding / Nexmark Q5: the hottest
+- :func:`hot_items_template` — Q1-sliding / Nexmark Q5: the hottest
   auction per sliding window of bids;
-- :func:`new_user_auctions_pipeline` — Q2-join / Nexmark Q8: persons
+- :func:`new_user_auctions_template` — Q2-join / Nexmark Q8: persons
   joined with the auctions they opened in the same tumbling window;
-- :func:`bid_sessions_pipeline` — Q6-session / Nexmark Q11: per-bidder
+- :func:`bid_sessions_template` — Q6-session / Nexmark Q11: per-bidder
   session windows of bid activity.
+
+``template.build_pipeline().run()`` executes one on the single-threaded
+:class:`~repro.runtime.executor.Pipeline`; the sharded executor
+instantiates it onto a placed physical graph.
 
 Their outputs are verified against the batch reference implementations
 in :mod:`repro.workloads.nexmark` (tests), and their measured operator
@@ -47,9 +51,11 @@ def records_from(events: Iterable[object]) -> List[Record]:
 def hot_items_template(
     bids: Sequence[Bid], window_ms: int = 10_000, slide_ms: int = 2_000
 ) -> PipelineTemplate:
-    """The hot-items query as a re-instantiable template.
+    """Hottest auction per sliding window.
 
-    Stage names match the operators of
+    Emits ``(window_end_ms, auction_id, bid_count)`` rows; windows fire
+    in event-time order as the watermark passes their end. Stage names
+    match the operators of
     :func:`repro.workloads.queries.q1_sliding` (``map``,
     ``sliding_window``) so the sharded executor can instantiate the
     template onto that logical graph's physical expansion.
@@ -81,17 +87,6 @@ def hot_items_template(
     )
 
 
-def hot_items_pipeline(
-    bids: Sequence[Bid], window_ms: int = 10_000, slide_ms: int = 2_000
-) -> Pipeline:
-    """Hottest auction per sliding window.
-
-    Emits ``(window_end_ms, auction_id, bid_count)`` rows; windows fire
-    in event-time order as the watermark passes their end.
-    """
-    return hot_items_template(bids, window_ms, slide_ms).build_pipeline()
-
-
 # ----------------------------------------------------------------------
 # Q2-join / Nexmark Q8: persons joined with their new auctions
 # ----------------------------------------------------------------------
@@ -101,10 +96,11 @@ def new_user_auctions_template(
     auctions: Sequence[Auction],
     window_ms: int = 10_000,
 ) -> PipelineTemplate:
-    """The new-user-auctions join as a re-instantiable template.
+    """Persons and the auctions they opened in the same tumbling window.
 
-    The persons source is added first, so it maps to the LEFT join side
-    and (positionally) to ``source_persons`` of
+    Emits ``(person_id, auction_id)`` pairs. The persons source is
+    added first, so it maps to the LEFT join side and (positionally) to
+    ``source_persons`` of
     :func:`repro.workloads.queries.q2_join`; that graph's ``map_*``
     operators have no template stage and run as identity relays.
     """
@@ -127,20 +123,6 @@ def new_user_auctions_template(
         .add_source(records_from(auctions), tag="auctions")
         .then("tumbling_join", join_factory)
     )
-
-
-def new_user_auctions_pipeline(
-    persons: Sequence[Person],
-    auctions: Sequence[Auction],
-    window_ms: int = 10_000,
-) -> Pipeline:
-    """Persons and the auctions they opened in the same tumbling window.
-
-    Emits ``(person_id, auction_id)`` pairs.
-    """
-    return new_user_auctions_template(
-        persons, auctions, window_ms
-    ).build_pipeline()
 
 
 # ----------------------------------------------------------------------
@@ -235,10 +217,13 @@ class PipelineStats:
 def bid_sessions_template(
     bids: Sequence[Bid], gap_ms: int = 5_000
 ) -> PipelineTemplate:
-    """The bid-sessions query as a re-instantiable template.
+    """Per-bidder session windows of bid activity.
 
-    Stage names match :func:`repro.workloads.queries.q6_session`
-    (``map``, ``session_window``).
+    Emits ``(bidder_id, session_start_ms, session_last_ms, bid_count)``
+    rows matching the reference semantics of
+    :func:`repro.workloads.nexmark.session_windows`. Stage names match
+    :func:`repro.workloads.queries.q6_session` (``map``,
+    ``session_window``).
     """
     gap = gap_ms
 
@@ -263,15 +248,3 @@ def bid_sessions_template(
         .then("map", lambda: MapOperator("map", lambda bid: bid))
         .then("session_window", session_factory)
     )
-
-
-def bid_sessions_pipeline(
-    bids: Sequence[Bid], gap_ms: int = 5_000
-) -> Pipeline:
-    """Per-bidder session windows of bid activity.
-
-    Emits ``(bidder_id, session_start_ms, session_last_ms, bid_count)``
-    rows matching the reference semantics of
-    :func:`repro.workloads.nexmark.session_windows`.
-    """
-    return bid_sessions_template(bids, gap_ms).build_pipeline()

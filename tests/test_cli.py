@@ -23,6 +23,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["place", "Q1", "--strategy", "bogus"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["place", "Q1-sliding", "--search-backend", "process", "--jobs", "0"],
+            ["place", "Q9"],
+            ["place", "Q1-sliding", "--workers", "0"],
+            ["place", "Q1-sliding", "--slots", "0"],
+            ["place", "Q1-sliding", "--rate", "-5"],
+            ["place", "Q1-sliding", "--duration", "0"],
+            ["autoscale", "Q1-sliding", "--chaos", "bad"],
+            ["autoscale", "Q1-sliding", "--control-chaos", "bad"],
+            ["autoscale", "Q1-sliding", "--checkpoint-interval", "0"],
+            ["validate-runtime", "--duration", "0"],
+            ["validate-runtime", "--queries", "q9"],
+            ["validate-runtime", "--rate-scale", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_queries_lists_all(self, capsys):
@@ -57,6 +83,8 @@ class TestCommands:
         assert "80 distinct plans" in out
         assert "meeting target" in out
 
-    def test_unknown_query_raises(self):
-        with pytest.raises(KeyError):
+    def test_unknown_query_raises(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             main(["place", "Q99-nope"])
+        assert exit_info.value.code == 2
+        assert "unknown query 'Q99-nope'" in capsys.readouterr().err

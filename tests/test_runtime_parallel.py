@@ -1,6 +1,7 @@
-"""Tests for the sharded executor: degenerate-mode bitwise parity with
-the single-threaded executor, semantic equivalence under parallelism,
-backpressure under tight channel credits, and double-run determinism."""
+"""Tests for the sharded executor: bitwise parity with the
+single-threaded executor at parallelism 1, semantic equivalence under
+parallelism, backpressure under tight channel credits, and double-run
+determinism."""
 
 import pytest
 
@@ -17,14 +18,11 @@ from repro.runtime.parallel import (
     stable_hash,
 )
 from repro.runtime.queries import (
-    bid_sessions_pipeline,
     bid_sessions_template,
-    hot_items_pipeline,
     hot_items_template,
-    new_user_auctions_pipeline,
     new_user_auctions_template,
-    records_from,
 )
+from repro.runtime.state import StateStats
 from repro.workloads.nexmark import NexmarkGenerator
 from repro.workloads.queries import q1_sliding, q2_join, q6_session
 
@@ -46,6 +44,14 @@ def _keyed(result):
 
 def _multiset(result):
     return sorted((r.timestamp_ms, repr(r.value)) for r in result.outputs)
+
+
+def _template(query, events):
+    if query == "q1":
+        return hot_items_template(events["bids"])
+    if query == "q2":
+        return new_user_auctions_template(events["persons"], events["auctions"])
+    return bid_sessions_template(events["bids"])
 
 
 class TestStableHash:
@@ -100,24 +106,14 @@ class TestTemplateValidation:
 
 class TestDegenerateModeBitwiseParity:
     """parallelism=1, no cluster: the sharded executor must reproduce
-    Pipeline.run outputs and statistics exactly, record for record."""
+    Pipeline.run outputs and statistics exactly, record for record —
+    without a physical graph by running it, and on an all-parallelism-1
+    physical graph through the slice scheduler."""
 
     @pytest.mark.parametrize("query", ["q1", "q2", "q6"])
     def test_outputs_and_stats_match_pipeline(self, events, query):
-        if query == "q1":
-            template = hot_items_template(events["bids"])
-            pipeline = hot_items_pipeline(events["bids"])
-        elif query == "q2":
-            template = new_user_auctions_template(
-                events["persons"], events["auctions"]
-            )
-            pipeline = new_user_auctions_pipeline(
-                events["persons"], events["auctions"]
-            )
-        else:
-            template = bid_sessions_template(events["bids"])
-            pipeline = bid_sessions_pipeline(events["bids"])
-        expected = pipeline.run()
+        template = _template(query, events)
+        expected = template.build_pipeline().run()
         got = ShardedExecutor(template).run()
         assert _keyed(got) == _keyed(expected)
         assert got.records_ingested == expected.records_ingested
@@ -137,17 +133,33 @@ class TestDegenerateModeBitwiseParity:
                 mine.bytes_written,
             ) == (st.reads, st.writes, st.deletes, st.bytes_read, st.bytes_written)
 
-    def test_physical_graph_all_par_one_is_still_exact(self, events):
-        physical = PhysicalGraph.expand(q1_sliding(1, 1, 1))
+    @pytest.mark.parametrize(
+        "query, graph",
+        [
+            ("q1", q1_sliding(1, 1, 1)),
+            ("q2", q2_join(1, 1, 1)),
+            ("q6", q6_session(1, 1, 1)),
+        ],
+        ids=["q1", "q2", "q6"],
+    )
+    def test_physical_graph_all_par_one_is_still_exact(self, events, query, graph):
+        template = _template(query, events)
         got = ShardedExecutor(
-            hot_items_template(events["bids"]), physical=physical
+            template, physical=PhysicalGraph.expand(graph)
         ).run()
-        expected = hot_items_pipeline(events["bids"]).run()
+        expected = template.build_pipeline().run()
         assert _keyed(got) == _keyed(expected)
+        assert got.records_ingested == expected.records_ingested
+        for op, stats in expected.operator_stats.items():
+            assert got.operator_stats[op] == stats
+        # identity relays (Q2's maps) are stateless
+        for op, stats in got.state_stats.items():
+            assert stats == expected.state_stats.get(op, StateStats())
 
     def test_run_sharded_wrapper(self, events):
         got = run_sharded(hot_items_template(events["bids"]))
-        assert _keyed(got) == _keyed(hot_items_pipeline(events["bids"]).run())
+        expected = hot_items_template(events["bids"]).build_pipeline().run()
+        assert _keyed(got) == _keyed(expected)
 
 
 class TestShardedSemanticEquivalence:
@@ -156,28 +168,19 @@ class TestShardedSemanticEquivalence:
     duplicates)."""
 
     @pytest.mark.parametrize(
-        "query", ["q1", "q2", "q6"], ids=["q1x2", "q2x3", "q6x3"]
+        "query, graph",
+        [
+            ("q1", q1_sliding(1, 2, 2)),
+            ("q2", q2_join(1, 2, 3)),
+            ("q6", q6_session(1, 2, 3)),
+        ],
+        ids=["q1x2", "q2x3", "q6x3"],
     )
-    def test_multiset_equivalence(self, events, query):
-        if query == "q1":
-            graph = q1_sliding(1, 2, 2)
-            template = hot_items_template(events["bids"])
-            pipeline = hot_items_pipeline(events["bids"])
-        elif query == "q2":
-            graph = q2_join(1, 2, 3)
-            template = new_user_auctions_template(
-                events["persons"], events["auctions"]
-            )
-            pipeline = new_user_auctions_pipeline(
-                events["persons"], events["auctions"]
-            )
-        else:
-            graph = q6_session(1, 2, 3)
-            template = bid_sessions_template(events["bids"])
-            pipeline = bid_sessions_pipeline(events["bids"])
+    def test_multiset_equivalence(self, events, query, graph):
+        template = _template(query, events)
         physical = PhysicalGraph.expand(graph)
         got = ShardedExecutor(template, physical=physical).run()
-        expected = pipeline.run()
+        expected = template.build_pipeline().run()
         assert _multiset(got) == _multiset(expected)
         assert got.records_ingested == expected.records_ingested
 
@@ -204,7 +207,7 @@ class TestBackpressure:
         got = ShardedExecutor(
             hot_items_template(bids), physical=physical, config=config
         ).run()
-        expected = hot_items_pipeline(bids).run()
+        expected = hot_items_template(bids).build_pipeline().run()
         assert _multiset(got) == _multiset(expected)
         blocked = sum(s.blocked_puts for s in got.channel_stats.values())
         assert blocked > 0

@@ -8,7 +8,7 @@ the same answers as the offline pass.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.queries import bid_sessions_pipeline, new_user_auctions_pipeline
+from repro.runtime.queries import bid_sessions_template, new_user_auctions_template
 from repro.workloads.nexmark import (
     Auction,
     Bid,
@@ -45,7 +45,7 @@ def bid_streams(draw):
 @settings(max_examples=50, deadline=None)
 @given(bid_streams(), st.sampled_from([1_000, 5_000, 20_000]))
 def test_sessions_match_reference(bids, gap_ms):
-    result = bid_sessions_pipeline(bids, gap_ms=gap_ms).run()
+    result = bid_sessions_template(bids, gap_ms=gap_ms).build_pipeline().run()
     reference = session_windows(bids, gap_ms=gap_ms)
     assert sorted(result.output_values()) == sorted(reference)
 
@@ -87,7 +87,9 @@ def person_auction_streams(draw):
 @given(person_auction_streams(), st.sampled_from([2_000, 10_000]))
 def test_window_join_matches_reference(streams, window_ms):
     persons, auctions = streams
-    result = new_user_auctions_pipeline(persons, auctions, window_ms=window_ms).run()
+    result = new_user_auctions_template(
+        persons, auctions, window_ms=window_ms
+    ).build_pipeline().run()
     reference = tumbling_window_join(persons, auctions, window_ms=window_ms)
     assert sorted(result.output_values()) == sorted(reference)
 
@@ -95,7 +97,7 @@ def test_window_join_matches_reference(streams, window_ms):
 @settings(max_examples=30, deadline=None)
 @given(bid_streams())
 def test_outputs_respect_event_time_order(bids):
-    result = bid_sessions_pipeline(bids, gap_ms=3_000).run()
+    result = bid_sessions_template(bids, gap_ms=3_000).build_pipeline().run()
     stamps = [r.timestamp_ms for r in result.outputs]
     assert stamps == sorted(stamps)
 
@@ -104,7 +106,7 @@ def test_outputs_respect_event_time_order(bids):
 @given(bid_streams())
 def test_record_conservation(bids):
     """Every ingested bid is counted exactly once at each stage."""
-    pipeline = bid_sessions_pipeline(bids)
+    pipeline = bid_sessions_template(bids).build_pipeline()
     result = pipeline.run()
     assert result.records_ingested == len(bids)
     assert result.operator_stats["map"].records_in == len(bids)

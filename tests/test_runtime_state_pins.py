@@ -22,7 +22,7 @@ from repro.runtime.queries import (
     winning_bid_averages,
 )
 from repro.workloads.nexmark import NexmarkGenerator
-from repro.workloads.queries import q1_sliding, q6_session
+from repro.workloads.queries import q1_sliding, q2_join, q6_session
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +78,23 @@ def _exact_stats(query, events):
 #: Q1 keyed by a constant and Q6 keyed by bidder over 2 and 3 shards.
 _SEMANTIC_GRAPHS = {"q1": q1_sliding(1, 2, 2), "q6": q6_session(1, 2, 3)}
 
+#: Every operator at parallelism 1: the slice scheduler must reproduce
+#: Pipeline.run's counts.
+_SINGLE_INSTANCE_GRAPHS = {
+    "q1": q1_sliding(1, 1, 1),
+    "q2": q2_join(1, 1, 1),
+    "q6": q6_session(1, 1, 1),
+}
+
+
+def _scheduled(graph, query, events):
+    physical = PhysicalGraph.expand(graph)
+    template = _template(query, events)
+    return ShardedExecutor(template, physical=physical).run()
+
 
 def _semantic_stats(query, events):
-    physical = PhysicalGraph.expand(_SEMANTIC_GRAPHS[query])
-    template = _template(query, events)
-    return _result_stats(ShardedExecutor(template, physical=physical).run())
+    return _result_stats(_scheduled(_SEMANTIC_GRAPHS[query], query, events))
 
 
 def _winning_bid_stats(events):
@@ -125,9 +137,21 @@ def test_exact_mode_state_stats_are_pinned(events, query):
     assert _exact_stats(query, events) == PINNED[query]
 
 
+@pytest.mark.parametrize("query", ["q1", "q2", "q6"])
+def test_single_instance_scheduler_state_stats_are_pinned(events, query):
+    result = _scheduled(_SINGLE_INSTANCE_GRAPHS[query], query, events)
+    assert _result_stats(result) == PINNED[query]
+
+
 @pytest.mark.parametrize("query", ["q1", "q6"])
 def test_semantic_mode_state_stats_are_pinned(events, query):
     assert _semantic_stats(query, events) == PINNED_SEMANTIC[query]
+
+
+def test_sharded_result_reports_io_bytes_per_record(events):
+    result = _scheduled(_SEMANTIC_GRAPHS["q1"], "q1", events)
+    pinned = PINNED_SEMANTIC["q1"]["sliding_window"][-1]
+    assert result.io_bytes_per_record("sliding_window") == pinned
 
 
 def test_winning_bid_averages_state_stats_are_pinned(events):
