@@ -197,10 +197,11 @@ DEFAULT_FF_COVERAGE: Mapping[Tuple[str, str], Tuple[CoveredAttr, ...]] = {
     ("repro.faults.injector", "EngineFaultDriver"): _cov(
         ("_pending", "event-horizon"),
         ("applied", "event-horizon"),
-        ("_cpu", "event-horizon"),
-        ("_disk", "event-horizon"),
-        ("_net", "event-horizon"),
+    ),
+    ("repro.faults.health", "ClusterHealth"): _cov(
         ("_alive", "event-horizon"),
+        ("_slots_lost", "event-horizon"),
+        ("_factors", "event-horizon"),
     ),
     ("repro.observability.tracer", "Tracer"): _cov(
         ("records", "sink"),

@@ -43,7 +43,12 @@ from repro.experiments.validate_runtime import (
 )
 from repro.experiments.reporting import box_stats, format_percent, format_table
 from repro.experiments.runner import simulate_plan, strategy_box_runs
-from repro.faults import ChaosSchedule, CheckpointConfig, ControlChaosSchedule
+from repro.faults import (
+    ChaosSchedule,
+    CheckpointConfig,
+    ClusterHealth,
+    ControlChaosSchedule,
+)
 from repro.observability import MetricRegistry, Tracer
 from repro.placement import CapsStrategy, FlinkDefaultStrategy, FlinkEvenlyStrategy
 from repro.simulator.engine import SimulationConfig
@@ -559,7 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "chaos", None):
+        # --chaos parses without the cluster; check its workers against
+        # --workers before anything runs
+        try:
+            ClusterHealth(_cluster(args)).check(args.chaos)
+        except KeyError as exc:
+            parser.error(f"argument --chaos: {exc.args[0]}")
     return args.fn(args)
 
 

@@ -562,7 +562,9 @@ class CAPSysController:
                 everything else (recoveries, degradations, harmless
                 structural events) schedules an opportunistic replan at
                 the next un-gated policy tick. Degradations also take
-                effect on the running engine immediately.
+                effect on the running engine immediately. An event aimed
+                at a worker outside the cluster raises a KeyError naming
+                its token before anything runs.
             control_chaos: Optional deterministic *control-plane* fault
                 schedule (:mod:`repro.faults.telemetry`): it perturbs
                 the telemetry this loop observes and whether redeploys
@@ -580,6 +582,8 @@ class CAPSysController:
         cfg = self.config
         result = AdaptiveRunResult()
         health = ClusterHealth(self.cluster)
+        if chaos:
+            health.check(chaos)
         # `health` threads through deploys only under chaos so the
         # no-chaos path stays byte-identical to the pre-fault loop.
         health_arg = health if chaos else None

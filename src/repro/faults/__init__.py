@@ -1,10 +1,12 @@
 """Fault injection & recovery: the chaos layer (DESIGN.md section 8).
 
-Deterministic chaos schedules (:mod:`repro.faults.schedule`), cluster
-health bookkeeping for degraded-mode control
-(:mod:`repro.faults.health`), the checkpoint/restore cost model
-(:mod:`repro.faults.checkpoint`), and the engine-side fault driver plus
-shared fault observability (:mod:`repro.faults.injector`).
+Deterministic chaos schedules and the grammar both fault planes share
+(:mod:`repro.faults.schedule`), control-plane faults
+(:mod:`repro.faults.telemetry`), cluster health bookkeeping for
+degraded-mode control (:mod:`repro.faults.health`), the
+checkpoint/restore cost model (:mod:`repro.faults.checkpoint`), and the
+engine-side fault driver plus shared fault observability
+(:mod:`repro.faults.injector`).
 """
 
 from repro.faults.checkpoint import CheckpointConfig, recovery_downtime

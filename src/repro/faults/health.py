@@ -1,7 +1,9 @@
 """Cluster health bookkeeping for degraded-mode control.
 
-The controller keeps one :class:`ClusterHealth` per adaptive run and
-feeds every structural/degradation fault event into it. The health
+This module is the one place that decides what a fault does to a
+worker. The controller keeps one :class:`ClusterHealth` per adaptive
+run, and :class:`~repro.faults.injector.EngineFaultDriver` one per
+standalone engine; both feed every fault event into it. The health
 object then answers the two questions degraded-mode control needs:
 
 1. **What can the engine run on?** :meth:`engine_cluster` — the
@@ -27,7 +29,7 @@ intuition of real incidents.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -57,14 +59,19 @@ class ClusterHealth:
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------
+    def check(self, events: Iterable[FaultEvent]) -> None:
+        """Raise a KeyError naming the first event aimed outside the cluster."""
+        for event in events:
+            if event.worker_id not in self._alive:
+                raise KeyError(
+                    f"chaos token {event.spec()!r} names a worker not in the "
+                    f"cluster (ids: {sorted(self._alive)})"
+                )
+
     def apply(self, event: FaultEvent) -> None:
         """Fold one fault event into the health state."""
+        self.check((event,))
         wid = event.worker_id
-        if wid not in self._alive:
-            raise KeyError(
-                f"chaos event {event.spec()!r} names a worker not in the "
-                f"cluster (ids: {sorted(self._alive)})"
-            )
         if event.kind == "crash":
             self._alive[wid] = False
         elif event.kind == "recover":

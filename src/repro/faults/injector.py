@@ -1,15 +1,18 @@
 """Engine-side fault injection and shared fault observability.
 
-Two consumers replay a :class:`~repro.faults.schedule.ChaosSchedule`:
+Two consumers replay a :class:`~repro.faults.schedule.ChaosSchedule`,
+and both fold its events through a
+:class:`~repro.faults.health.ClusterHealth`, so a fault does the same
+thing to a worker whoever replays it:
 
 - the **adaptive controller** processes events itself (it must stop the
   engine at each event, replan around crashes, and account recovery
   downtime), applying capacity changes through
   :meth:`FluidSimulation.apply_worker_factors`;
-- a **standalone engine** (``cli place --chaos``, static-placement
-  experiments, tests) attaches an :class:`EngineFaultDriver`, which the
-  engine polls every tick: due events become capacity/alive mutations
-  with no replanning — the "no controller" ablation.
+- a **standalone engine** (static-placement benchmarks and tests)
+  attaches an :class:`EngineFaultDriver`, which the engine polls every
+  tick: due events become capacity/alive mutations with no
+  replanning — the "no controller" ablation.
 
 Both paths report each injected event through :func:`observe_fault`, so
 the trace event names and metric labels are identical regardless of who
@@ -24,7 +27,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.dataflow.cluster import Cluster
-from repro.faults.schedule import ChaosSchedule, FaultEvent, _sort_key
+from repro.faults.health import ClusterHealth
+from repro.faults.schedule import ChaosSchedule, FaultEvent
 from repro.observability import MetricRegistry, Tracer
 
 
@@ -65,13 +69,11 @@ class EngineFaultDriver:
         tracer: Optional tracer for the ``fault.*`` sim-domain events.
         registry: Optional registry for the injection counters.
 
-    The driver holds per-worker factor state: ``crash`` marks a worker
-    dead (the engine zeroes its demand), ``recover`` restores it to
-    pristine, degrade kinds keep the worst remaining fraction per
-    dimension, and ``slots`` is a placement-level event with no engine
-    capacity effect (still traced). :meth:`poll` is called by the engine
-    at the start of every tick with the absolute simulated time and
-    returns the updated factor arrays only when an event fired.
+    Due events fold into a :class:`ClusterHealth` over the engine's
+    cluster (``slots`` has no engine capacity effect but is still
+    traced). :meth:`poll` is called by the engine at the start of every
+    tick with the absolute simulated time and returns the health's
+    factor arrays only when an event fired.
     """
 
     def __init__(
@@ -81,24 +83,11 @@ class EngineFaultDriver:
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricRegistry] = None,
     ) -> None:
-        events = (
-            schedule.events
-            if isinstance(schedule, ChaosSchedule)
-            else tuple(sorted(schedule, key=_sort_key))
-        )
-        self._index = {w.worker_id: i for i, w in enumerate(cluster.workers)}
-        for event in events:
-            if event.worker_id not in self._index:
-                raise KeyError(
-                    f"chaos event {event.spec()!r} names a worker not in "
-                    f"the cluster (ids: {sorted(self._index)})"
-                )
+        events = ChaosSchedule(schedule).events
+        self._health = ClusterHealth(cluster)
+        self._health.check(events)
+        self._cluster = cluster
         self._pending = deque(events)
-        n = len(cluster.workers)
-        self._cpu = np.ones(n)
-        self._disk = np.ones(n)
-        self._net = np.ones(n)
-        self._alive = np.ones(n, dtype=bool)
         self.tracer = tracer
         self.registry = registry
         #: Events already fired, in firing order (diagnostics/tests).
@@ -110,36 +99,14 @@ class EngineFaultDriver:
         """Fire every event due at ``time_s``; factors when any fired."""
         fired = False
         while self._pending and self._pending[0].time_s <= time_s + 1e-9:
-            self._apply(self._pending.popleft())
+            event = self._pending.popleft()
+            self._health.apply(event)
+            self.applied.append(event)
+            observe_fault(event, self.tracer, self.registry)
             fired = True
         if not fired:
             return None
-        return (
-            self._cpu.copy(),
-            self._disk.copy(),
-            self._net.copy(),
-            self._alive.copy(),
-        )
-
-    def _apply(self, event: FaultEvent) -> None:
-        i = self._index[event.worker_id]
-        if event.kind == "crash":
-            self._alive[i] = False
-        elif event.kind == "recover":
-            self._alive[i] = True
-            self._cpu[i] = 1.0
-            self._disk[i] = 1.0
-            self._net[i] = 1.0
-        elif event.kind == "cpu":
-            self._cpu[i] = min(self._cpu[i], event.magnitude)
-        elif event.kind == "disk":
-            self._disk[i] = min(self._disk[i], event.magnitude)
-        elif event.kind == "net":
-            self._net[i] = min(self._net[i], event.magnitude)
-        # "slots" changes the placement search space only; no capacity
-        # effect on a running engine, but the injection is still traced.
-        self.applied.append(event)
-        observe_fault(event, self.tracer, self.registry)
+        return self._health.factor_arrays(self._cluster)
 
     @property
     def exhausted(self) -> bool:

@@ -16,7 +16,8 @@ with no hidden randomness: identical schedules against identical seeds
 must reproduce byte-identical sim-domain traces, with or without
 ``--fast-forward``.
 
-Grammar (comma-joined tokens, wired through ``--control-chaos``)::
+The tokens are the data plane's (:class:`~repro.faults.schedule.Schedule`)
+with an ``op<name>`` target or none, wired through ``--control-chaos``::
 
     metric_drop:op<name>@<t>[for<d>]          # observation lost
     metric_corrupt:op<name>@<t>[for<d>][x<m>] # NaN (no x) or x<m>-scaled
@@ -32,10 +33,10 @@ and is then consumed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.faults.schedule import Schedule, check_numbers, format_token
 from repro.observability import MetricRegistry, Tracer
 from repro.scaling.rates import OperatorRates
 from repro.units import Seconds
@@ -86,12 +87,7 @@ class ControlFaultEvent:
                 f"unknown control-fault kind {self.kind!r}; expected one "
                 f"of {CONTROL_FAULT_KINDS}"
             )
-        if not math.isfinite(self.time_s) or self.time_s < 0:
-            raise ValueError("control-fault time must be finite and non-negative")
-        if not math.isfinite(self.duration_s) or self.duration_s < 0:
-            raise ValueError(
-                "control-fault duration must be finite and non-negative"
-            )
+        check_numbers(self.time_s, self.duration_s, self.magnitude)
         if self.kind in METRIC_KINDS:
             if not self.operator:
                 raise ValueError(f"{self.kind} requires an op<name> target")
@@ -99,12 +95,10 @@ class ControlFaultEvent:
             raise ValueError(f"{self.kind} does not take an operator target")
         if self.kind in DEPLOY_KINDS and self.duration_s != 0.0:
             raise ValueError(f"{self.kind} does not take a for<duration> window")
-        if self.magnitude is not None:
-            if not math.isfinite(self.magnitude) or self.magnitude <= 0:
-                raise ValueError(
-                    f"{self.kind} magnitude must be finite and positive; "
-                    f"got {self.magnitude}"
-                )
+        if self.magnitude is not None and self.magnitude <= 0:
+            raise ValueError(
+                f"{self.kind} magnitude must be positive; got {self.magnitude}"
+            )
         if self.kind == "deploy_fail" and self.magnitude is not None:
             if self.magnitude != int(self.magnitude):
                 raise ValueError(
@@ -116,6 +110,19 @@ class ControlFaultEvent:
         if self.kind in ("metric_drop", "profile_stale") and self.magnitude is not None:
             raise ValueError(f"{self.kind} does not take an x<magnitude>")
 
+    @classmethod
+    def from_token(
+        cls, kind: str, target: str, time_s: float, duration_s: Optional[float],
+        magnitude: Optional[float],
+    ) -> "ControlFaultEvent":
+        """Build from a token whose target is ``op<name>`` or empty."""
+        operator: Optional[str] = None
+        if target:
+            if not target.startswith("op") or len(target) <= 2:
+                raise ValueError(f"bad target {target!r}; expected op<name>")
+            operator = target[2:]
+        return cls(time_s, kind, operator, duration_s or 0.0, magnitude)
+
     @property
     def fail_count(self) -> int:
         """Deploy attempts this ``deploy_fail`` event makes fail."""
@@ -123,141 +130,22 @@ class ControlFaultEvent:
             raise ValueError("fail_count is only defined for deploy_fail")
         return 1 if self.magnitude is None else int(self.magnitude)
 
+    def sort_key(self) -> Tuple[float, int, str]:
+        return (self.time_s, CONTROL_FAULT_KINDS.index(self.kind), self.operator or "")
+
     def spec(self) -> str:
         """The token form :meth:`ControlChaosSchedule.parse` round-trips."""
         target = f"op{self.operator}" if self.operator else ""
-        base = f"{self.kind}:{target}@{self.time_s:g}"
-        if self.duration_s > 0:
-            base += f"for{self.duration_s:g}"
-        if self.magnitude is not None:
-            base += f"x{self.magnitude:g}"
-        return base
-
-
-def _sort_key(event: ControlFaultEvent) -> Tuple[float, int, str]:
-    return (
-        event.time_s,
-        CONTROL_FAULT_KINDS.index(event.kind),
-        event.operator or "",
-    )
-
-
-def _parse_float(text: str, what: str, token: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"bad {what} {text!r} in control-chaos token {token!r}") from None
-    return value
-
-
-class ControlChaosSchedule:
-    """An immutable, time-sorted sequence of control-plane faults."""
-
-    def __init__(self, events: Iterable[ControlFaultEvent] = ()) -> None:
-        self._events: Tuple[ControlFaultEvent, ...] = tuple(
-            sorted(events, key=_sort_key)
+        return format_token(
+            self.kind, target, self.time_s, self.duration_s, self.magnitude
         )
 
-    @classmethod
-    def parse(cls, spec: str) -> "ControlChaosSchedule":
-        """Parse the ``--control-chaos`` one-liner grammar.
 
-        Malformed tokens and duplicates (same kind, target, and time)
-        raise a :class:`ValueError` naming the offending token.
-        """
-        events: List[ControlFaultEvent] = []
-        seen: Dict[Tuple[str, Optional[str], float], str] = {}
-        for raw in spec.split(","):
-            token = raw.strip()
-            if not token:
-                continue
-            try:
-                kind, rest = token.split(":", 1)
-            except ValueError:
-                raise ValueError(
-                    f"bad control-chaos token {token!r}; expected "
-                    f"kind:[op<name>]@<time>[for<duration>][x<magnitude>]"
-                ) from None
-            if kind not in CONTROL_FAULT_KINDS:
-                raise ValueError(
-                    f"unknown control-fault kind {kind!r} in token {token!r}; "
-                    f"expected one of {CONTROL_FAULT_KINDS}"
-                )
-            try:
-                target, timing = rest.split("@", 1)
-            except ValueError:
-                raise ValueError(
-                    f"missing @<time> in control-chaos token {token!r}"
-                ) from None
-            operator: Optional[str] = None
-            if target:
-                if not target.startswith("op") or len(target) <= 2:
-                    raise ValueError(
-                        f"bad target {target!r} in control-chaos token "
-                        f"{token!r}; expected op<name>"
-                    )
-                operator = target[2:]
-            magnitude: Optional[float] = None
-            duration_s = 0.0
-            if "x" in timing:
-                timing, mag_str = timing.split("x", 1)
-                magnitude = _parse_float(mag_str, "magnitude", token)
-            if "for" in timing:
-                time_str, dur_str = timing.split("for", 1)
-                duration_s = _parse_float(dur_str, "duration", token)
-            else:
-                time_str = timing
-            time_s = _parse_float(time_str, "time", token)
-            key = (kind, operator, time_s)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate control-chaos token {token!r} "
-                    f"(same kind/target/time as {seen[key]!r})"
-                )
-            seen[key] = token
-            try:
-                events.append(
-                    ControlFaultEvent(
-                        time_s=time_s,
-                        kind=kind,
-                        operator=operator,
-                        duration_s=duration_s,
-                        magnitude=magnitude,
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(
-                    f"bad control-chaos token {token!r}: {exc}"
-                ) from None
-        return cls(events)
+class ControlChaosSchedule(Schedule):
+    """An immutable, time-sorted sequence of control-plane faults."""
 
-    @property
-    def events(self) -> Tuple[ControlFaultEvent, ...]:
-        return self._events
-
-    def spec(self) -> str:
-        """Canonical spec string (``parse(s.spec())`` equals ``s``)."""
-        return ",".join(event.spec() for event in self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __bool__(self) -> bool:
-        return bool(self._events)
-
-    def __iter__(self) -> Iterator[ControlFaultEvent]:
-        return iter(self._events)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ControlChaosSchedule):
-            return NotImplemented
-        return self._events == other._events
-
-    def __hash__(self) -> int:
-        return hash(self._events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ControlChaosSchedule({self.spec()!r})"
+    event_type = ControlFaultEvent
+    flag = "control-chaos"
 
 
 def observe_control_fault(

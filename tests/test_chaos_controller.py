@@ -67,6 +67,23 @@ class TestForcedReplan:
         tail = [s for s in result.samples if s.time_s > 150.0]
         assert any(s.throughput >= 0.95 * s.target_rate for s in tail)
 
+    def test_worker_outside_the_cluster_rejected_before_deploying(
+        self, monkeypatch
+    ):
+        ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("ran before rejecting the schedule")
+
+        monkeypatch.setattr(ctl, "profile", must_not_run)
+        monkeypatch.setattr(ctl, "deploy", must_not_run)
+        with pytest.raises(KeyError, match="crash:w9@100"):
+            ctl.run_adaptive(
+                {"src": ConstantRate(2000.0)},
+                duration_s=200.0,
+                chaos=ChaosSchedule.parse("crash:w1@50,crash:w9@100"),
+            )
+
     def test_deploy_with_health_avoids_dead_worker(self):
         ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
         health = ClusterHealth(CLUSTER)

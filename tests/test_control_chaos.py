@@ -114,6 +114,8 @@ class TestGrammar:
             "deploy_fail:@10x0",  # magnitude must be positive
             "deploy_delay:@10",  # delay requires x<lag>
             "deploy_delay:@10xinf",  # magnitude must be finite
+            "metric_drop:opwork@nan",  # time must be finite
+            "profile_stale:@10for1e400",  # duration must be finite
             "metric_drop:opwork@10,metric_drop:opwork@10",  # duplicate
         ],
     )

@@ -109,6 +109,13 @@ class TestScheduleGrammar:
             "disk:w0@-5",          # negative time
             "crash:w0@10,crash:w0@10",      # exact duplicate
             "disk:w1@20x0.5,disk:w1@20x0.3",  # duplicate kind/worker/time
+            "slots:w0@10xinf",     # non-finite magnitude
+            "disk:w0@10xnan",      # non-finite magnitude
+            "crash:w0@nan",        # non-finite time
+            "crash:w0@inf",        # non-finite time
+            "crash:w0@1e400",      # time overflows to inf
+            "crash:w1@50,crash:w0@nan,crash:w2@20",  # NaN would break the sort
+            "crash:w0@10for5",     # worker faults take no window
         ],
     )
     def test_rejects_malformed_tokens(self, bad):
@@ -122,6 +129,8 @@ class TestScheduleGrammar:
             ("crash:w0@10x5", "crash:w0@10x5"),
             ("crash:w1@5,crash:w0@10,crash:w0@10", "crash:w0@10"),
             ("disk:w0@10x0", "disk:w0@10x0"),
+            ("slots:w0@10xinf", "slots:w0@10xinf"),
+            ("crash:w1@50,crash:w0@nan,crash:w2@20", "crash:w0@nan"),
         ],
     )
     def test_error_names_the_offending_token(self, bad, offender):
@@ -137,6 +146,10 @@ class TestScheduleGrammar:
             FaultEvent(-1.0, "crash", 0)
         with pytest.raises(ValueError):
             FaultEvent(0.0, "crash", -1)
+        with pytest.raises(ValueError):
+            FaultEvent(float("nan"), "crash", 0)
+        with pytest.raises(ValueError):
+            FaultEvent(1.0, "slots", 0, float("inf"))
         assert FaultEvent(5.0, "net", 1, 0.25).structural is False
         assert FaultEvent(5.0, "slots", 1, 2.0).structural is True
 
@@ -286,7 +299,7 @@ class TestEngineFaultDriver:
         assert restored == pytest.approx(base, rel=0.05)
 
     def test_unknown_worker_rejected_at_construction(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="crash:w9@1"):
             EngineFaultDriver(ChaosSchedule.parse("crash:w9@1"), cluster(2))
 
     def test_observability_of_injected_faults(self):
