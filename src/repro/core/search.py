@@ -237,7 +237,9 @@ class CapsSearch:
     Args:
         cost_model: The cost model binding graph, cluster, and task costs.
         thresholds: The pruning factor vector (paper Eq. 9). Missing or
-            infinite entries disable pruning for that dimension.
+            infinite entries disable pruning for that dimension. Rebind
+            it with :meth:`set_thresholds` to run the same prepared
+            search under another vector.
         reorder: Apply exploration reordering (section 4.4.2).
         order: Explicit operator exploration order (overrides reorder).
         collect_pareto: Maintain the satisfying-plan pareto front. Turn
@@ -258,11 +260,6 @@ class CapsSearch:
         selection_weights: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.cost_model = cost_model
-        self.thresholds = _as_cost_vector(thresholds)
-        for dim in DIMENSIONS:
-            alpha = self.thresholds[dim]
-            if alpha < 0:
-                raise ValueError(f"threshold alpha_{dim} must be >= 0")
         self.collect_pareto = collect_pareto
         self.pareto_capacity = pareto_capacity
         self.collect_all = collect_all
@@ -280,16 +277,6 @@ class CapsSearch:
                 raise ValueError("explicit order must be a permutation of operators")
         self._order: List[OperatorKey] = list(order)
         self._layers: List[_Layer] = self._build_layers()
-        # Load bounds carry a relative tolerance: partial loads are sums
-        # of floats accumulated in arbitrary order, so an exact-boundary
-        # plan (alpha = 1, or L == bound) must not be lost to the last
-        # bit of a large-magnitude sum.
-        self._bounds: Dict[str, float] = {}
-        for dim in DIMENSIONS:
-            bound = cost_model.load_bound(dim, self.thresholds[dim])
-            if math.isfinite(bound):
-                bound += _EPS + 1e-9 * abs(bound)
-            self._bounds[dim] = bound
 
         cluster = cost_model.cluster
         self._worker_ids: List[int] = [w.worker_id for w in cluster.workers]
@@ -300,6 +287,33 @@ class CapsSearch:
             raise ValueError(
                 f"{total_tasks} tasks exceed the cluster's {sum(self._slots)} slots"
             )
+        self.set_thresholds(thresholds)
+
+    def set_thresholds(
+        self, thresholds: Union[CostVector, Mapping[str, float], None]
+    ) -> None:
+        """Rebind the pruning factor vector; the next :meth:`run` uses it.
+
+        Only the Eq. 10 load bounds and the per-layer limits derived from
+        them depend on the thresholds, so a caller probing many vectors
+        over one (graph, cluster) pair — the auto-tuner — prepares the
+        layers once and rebinds the bounds per probe.
+        """
+        vector = _as_cost_vector(thresholds)
+        for dim in DIMENSIONS:
+            if vector[dim] < 0:
+                raise ValueError(f"threshold alpha_{dim} must be >= 0")
+        self.thresholds = vector
+        # Load bounds carry a relative tolerance: partial loads are sums
+        # of floats accumulated in arbitrary order, so an exact-boundary
+        # plan (alpha = 1, or L == bound) must not be lost to the last
+        # bit of a large-magnitude sum.
+        self._bounds: Dict[str, float] = {}
+        for dim in DIMENSIONS:
+            bound = self.cost_model.load_bound(dim, vector[dim])
+            if math.isfinite(bound):
+                bound += _EPS + 1e-9 * abs(bound)
+            self._bounds[dim] = bound
         # Hoist the per-layer pruning invariants out of the inner loop.
         limit_cpu = self._bounds["cpu"] + _EPS
         limit_io = self._bounds["io"] + _EPS

@@ -169,6 +169,7 @@ class CapsStrategy(PlacementStrategy):
                     tuned = tuner.tune()
                     span.set(
                         iterations=tuned.iterations,
+                        truncated_probes=tuned.truncated_probes,
                         timed_out=tuned.timed_out,
                         feasible=tuned.feasible,
                     )

@@ -151,6 +151,23 @@ class TestThresholdPruning:
         _, _, model = make_problem()
         with pytest.raises(ValueError):
             CapsSearch(model, thresholds={"cpu": -0.1})
+        with pytest.raises(ValueError):
+            CapsSearch(model).set_thresholds({"io": -0.1})
+
+    def test_rebound_search_matches_a_fresh_one(self):
+        """set_thresholds leaves no trace of the previous vector."""
+        _, _, model = make_problem((3, 3, 2), 4, 3)
+        search = CapsSearch(model, thresholds={"io": 0.1}, collect_all=True)
+        search.run()
+        for thresholds in ({"io": 0.8}, {"cpu": 0.3, "io": 0.5}, None):
+            search.set_thresholds(thresholds)
+            rebound = search.run()
+            fresh = CapsSearch(model, thresholds=thresholds, collect_all=True).run()
+            assert rebound.stats.nodes == fresh.stats.nodes
+            assert rebound.stats.pruned_total == fresh.stats.pruned_total
+            assert [
+                (cost.as_tuple(), plan.assignment) for cost, plan in rebound.all_plans
+            ] == [(cost.as_tuple(), plan.assignment) for cost, plan in fresh.all_plans]
 
 
 class TestLimits:

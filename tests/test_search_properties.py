@@ -6,6 +6,7 @@ bookkeeping are verified on every discovered plan.
 """
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from repro.dataflow.cluster import Cluster, WorkerSpec
 from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.dataflow.physical import PhysicalGraph
-from repro.core.cost_model import CostModel, CostVector, TaskCosts
+from repro.core.autotune import ThresholdAutoTuner
+from repro.core.cost_model import DIMENSIONS, CostModel, CostVector, TaskCosts
 from repro.core.plan import PlacementPlan
-from repro.core.search import CapsSearch
+from repro.core.search import CapsSearch, SearchLimits
 
 
 @st.composite
@@ -140,3 +142,54 @@ def test_best_plan_not_dominated(problem):
     assert result.found
     for cost, _ in result.all_plans:
         assert not cost.dominates(result.best_cost)
+
+
+def _feasible(model, thresholds):
+    """A fresh, unbudgeted first-plan probe."""
+    search = CapsSearch(model, thresholds=thresholds, collect_pareto=False)
+    return search.run(SearchLimits(first_satisfying=True)).found
+
+
+def _isolated(dim, alpha):
+    thresholds = {d: math.inf for d in DIMENSIONS}
+    thresholds[dim] = alpha
+    return thresholds
+
+
+@settings(max_examples=30, deadline=None)
+@given(placement_problems())
+def test_autotune_bisection_equals_the_scan(problem):
+    """Bisection returns the first feasible candidate of the in-order scan
+    over the same sequences, whenever no probe is truncated."""
+    _physical, _cluster, model = problem
+    # A tiny kappa tunes every loaded dimension; no node or probe budget.
+    tuner = ThresholdAutoTuner(
+        model, timeout_s=600.0, probe_max_nodes=None, sensitivity_kappa=1e-12
+    )
+    result = tuner.tune()
+    assert not result.timed_out
+    assert result.truncated_probes == 0
+
+    grid = tuner.phase1_candidates()
+    minima = {}
+    for dim in DIMENSIONS:
+        if dim in tuner.insensitive:
+            minima[dim] = 1.0
+            continue
+        scan = [alpha for alpha in grid if _feasible(model, _isolated(dim, alpha))]
+        minima[dim] = scan[0] if scan else 1.0
+        assert result.phase1_minima[dim] == minima[dim]
+        # the candidate before the returned one (the grid's last point
+        # when nothing on the grid was feasible) is infeasible
+        returned = grid.index(minima[dim]) if scan else len(grid)
+        if returned > 0:
+            assert not _feasible(model, _isolated(dim, grid[returned - 1]))
+    assert result.phase1_minima.as_tuple() == CostVector(**minima).as_tuple()
+
+    vectors = tuner.phase2_candidates(minima)
+    scan = [v for v in vectors[:-1] if _feasible(model, v)]
+    expected = scan[0] if scan else vectors[-1]
+    assert result.thresholds.as_tuple() == CostVector(**expected).as_tuple()
+    returned = vectors.index(expected)
+    if returned > 0:
+        assert not _feasible(model, vectors[returned - 1])
