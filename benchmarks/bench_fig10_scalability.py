@@ -9,13 +9,22 @@ Paper section 6.5, with Q2-join:
   (paper: ~1 s for small deployments to ~125 s at 1024 tasks on their
   20-core machine; our single-threaded Python build runs the same
   sweep at reduced maximum scale and reports the same growth shape).
+  Each config's runtime, probe count and thresholds go to
+  ``BENCH_perf.json`` section ``fig10_autotune`` with the commit that
+  produced them and, under ``previous``, the last result of another
+  commit (run it at a parent and then at its change for a
+  before/after pair).
+
+Its assertions are about shape only, so host speed does not matter:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_fig10_scalability.py -q -s
 """
 
 import sys
 import time
 
 sys.path.insert(0, "benchmarks")
-from _helpers import run_once
+from _helpers import current_commit, merge_bench_section_with_previous, run_once
 
 from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
@@ -164,6 +173,24 @@ def test_fig10b_autotune_runtime(benchmark):
             ],
             title="Figure 10b -- threshold auto-tuning runtime (Q2-join)",
         )
+    )
+
+    merge_bench_section_with_previous(
+        "perf",
+        "fig10_autotune",
+        {
+            "commit": current_commit(),
+            "smoke": False,
+            "workload": "Q2-join scaled to workers x slots/worker, autotuned",
+            "configs": {
+                f"{w}x{s}": {
+                    "duration_s": round(r.duration_s, 3),
+                    "probes": r.iterations,
+                    "thresholds": list(r.thresholds.as_tuple()),
+                }
+                for w, s, _total, r in rows
+            },
+        },
     )
 
     # runtime grows with the problem size (the paper's shape)
