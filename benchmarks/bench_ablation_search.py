@@ -6,7 +6,7 @@ Not a paper table — these quantify how much each mechanism contributes:
   tight threshold;
 - systematic search vs the greedy warm start: plan-cost improvement;
 - CAPS vs naive random sampling at an equal candidate budget;
-- parallel search driver: correctness-preserving thread scaling.
+- partitioned search: correctness-preserving process-pool scaling.
 """
 
 import sys
@@ -19,7 +19,7 @@ from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
 from repro.core.cost_model import CostModel, TaskCosts
 from repro.core.greedy import greedy_balanced_plan
-from repro.core.parallel import ParallelCapsSearch
+from repro.core.parallel import ProcessCapsSearch
 from repro.core.search import CapsSearch, SearchLimits
 from repro.experiments.reporting import format_table
 from repro.placement.random_search import random_feasible_plan
@@ -127,21 +127,18 @@ def test_ablation_caps_vs_random_sampling(benchmark):
     assert caps_cost.total() <= random_cost.total() + 1e-9
 
 
-def test_ablation_parallel_threads(benchmark):
-    """Thread scaling of the parallel driver (GIL-limited; correctness
-    and work partitioning are the point, not wall-clock speedup)."""
+def test_ablation_parallel_jobs(benchmark):
+    """Process-pool scaling of the partitioned search (correctness and
+    work partitioning are the point; speedup needs free cores)."""
     def study():
         rows = []
-        for threads in (1, 2, 4):
+        for jobs in (1, 2, 4):
             _, _, model = q3_model(parallelism=(1, 3, 6, 3))
             search = CapsSearch(model, thresholds={"cpu": 0.5}, collect_pareto=True)
             started = time.monotonic()
-            if threads == 1:
-                result = search.run()
-            else:
-                result = ParallelCapsSearch(search, threads=threads).run()
+            result = ProcessCapsSearch(search, jobs=jobs).run()
             rows.append(
-                (threads, time.monotonic() - started,
+                (jobs, time.monotonic() - started,
                  result.stats.plans_found, result.best_cost.total())
             )
         return rows
@@ -150,12 +147,12 @@ def test_ablation_parallel_threads(benchmark):
     print()
     print(
         format_table(
-            ["threads", "time (s)", "plans", "best total cost"],
-            [[t, round(el, 3), plans, round(cost, 4)] for t, el, plans, cost in rows],
-            title="Ablation -- parallel search driver",
+            ["jobs", "time (s)", "plans", "best total cost"],
+            [[j, round(el, 3), plans, round(cost, 4)] for j, el, plans, cost in rows],
+            title="Ablation -- partitioned search on a process pool",
         )
     )
-    # identical result quality regardless of thread count
+    # identical result quality regardless of the worker count
     costs = {round(cost, 9) for _, _, _, cost in rows}
     assert len(costs) == 1
     plans = {p for _, _, p, _ in rows}

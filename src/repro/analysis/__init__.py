@@ -5,8 +5,9 @@ The reproduction's headline guarantees are *invariants*, not features:
 1. the fluid simulator is a deterministic function of its inputs
    (which is what makes the plan-evaluation cache and the CAPS
    equivalence suites sound), and
-2. the parallel search backends share no unsynchronised mutable state
-   (which is what makes them bit-identical to the sequential DFS).
+2. the partitioned process-pool search shares no unsynchronised
+   mutable state (which is what makes it bit-identical to the
+   sequential DFS).
 
 Example-based tests witness these invariants on specific inputs; this
 package *checks them mechanically* over the whole tree with a custom

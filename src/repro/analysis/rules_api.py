@@ -2,8 +2,8 @@
 
 - **API001** — mutable default argument values (list/dict/set literals,
   comprehensions, or ``list()``/``dict()``/``set()`` calls). Defaults
-  evaluate once at import; a mutable default is cross-call — and, for
-  the parallel backends, cross-thread — shared state.
+  evaluate once at import; a mutable default is state shared across
+  calls, and across threads.
 - **API002** — swallowed exceptions: a bare ``except:`` anywhere, or a
   handler whose whole body is ``pass``/``...``. In the simulator and
   search hot paths a silently swallowed error turns a crash into a

@@ -25,7 +25,8 @@ that property, in every module reachable (by import) from the
 - **DET003** — iteration over ``set``/``frozenset`` expressions. With
   string hash randomisation, set order changes across *processes*, so
   any plan or cost decision fed by set iteration diverges between the
-  sequential and multiprocessing search backends. Wrap in ``sorted()``.
+  sequential search and its process-pool partitions. Wrap in
+  ``sorted()``.
   Order-insensitive reductions (``len``, ``sum``, ``min``, ``max``,
   ``any``, ``all``, set algebra) stay quiet.
 - **DET004** — ``==``/``!=`` against a non-integral float literal in a

@@ -1,11 +1,10 @@
-"""RACE: conservative shared-state checking for the parallel backends.
+"""RACE: conservative shared-state checking for the partitioned search.
 
-PR 1's guarantee is that the thread and process search backends return
-results *bit-identical* to the sequential DFS. That only holds if
-worker-executed code shares no unsynchronised mutable state. These
-rules build a call graph from the worker entry points in
-``repro.core.parallel`` / ``repro.core.parallel_proc`` and walk every
-function conservatively reachable from them:
+The process-pool search returns results *bit-identical* to the
+sequential DFS. That only holds if worker-executed code shares no
+unsynchronised mutable state. These rules build a call graph from the
+worker entry points in ``repro.core.parallel`` and walk every function
+conservatively reachable from them:
 
 - **RACE001** — assignment to a ``global``-declared name outside a lock.
 - **RACE002** — attribute or item writes through an *enclosing-scope*
@@ -58,16 +57,16 @@ RACE_SHARED_MUTATOR = "RACE003"
 RACE_LOCK_DISCIPLINE = "RACE004"
 RACE_MISSING_ENTRY = "RACE000"
 
-#: Worker-executed entry points of the parallel search backends.
+#: Worker-executed entry points of the partitioned search.
 DEFAULT_RACE_ENTRIES: Tuple[Tuple[str, str], ...] = (
     ("repro.core.parallel", "run_seed_partition"),
     ("repro.core.parallel", "SeedBeacon.report"),
     ("repro.core.parallel", "SeedBeacon.best"),
     ("repro.core.parallel", "_SeedCancel.is_set"),
-    ("repro.core.parallel_proc", "_init_worker"),
-    ("repro.core.parallel_proc", "_run_partition"),
-    ("repro.core.parallel_proc", "_ProcessBeacon.report"),
-    ("repro.core.parallel_proc", "_ProcessBeacon.best"),
+    ("repro.core.parallel", "_init_worker"),
+    ("repro.core.parallel", "_run_partition"),
+    ("repro.core.parallel", "_ProcessBeacon.report"),
+    ("repro.core.parallel", "_ProcessBeacon.best"),
 )
 
 _MUTATOR_METHODS = {

@@ -31,7 +31,6 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.controller.capsys import CAPSysController, ControllerConfig
 from repro.controller.guards import GuardConfig
-from repro.core import SEARCH_BACKENDS
 from repro.dataflow.cluster import Cluster, M5D_2XLARGE, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
 from repro.experiments import enumerate_all_plans
@@ -126,12 +125,9 @@ def _add_cluster_args(parser: argparse.ArgumentParser, workers=4, slots=8) -> No
 
 
 def _add_search_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--search-backend", choices=SEARCH_BACKENDS,
-                        default="sequential",
-                        help="placement search backend (process = multicore)")
-    parser.add_argument("--jobs", type=_positive(int), default=None,
-                        help="worker count for parallel search backends "
-                             "(default: one per core)")
+    parser.add_argument("--jobs", type=_positive(int), default=1,
+                        help="placement search worker processes (above 1 "
+                             "partitions the search over a process pool)")
 
 
 def _add_ff_arg(parser: argparse.ArgumentParser) -> None:
@@ -149,7 +145,6 @@ def _controller_config(args: argparse.Namespace) -> ControllerConfig:
         else CheckpointConfig()
     )
     return ControllerConfig(
-        search_backend=args.search_backend,
         search_jobs=args.jobs,
         checkpoint=checkpoint,
         diagnose=getattr(args, "diagnose", False),
@@ -329,7 +324,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for strategy in (
         CapsStrategy(src_rates, unit_costs_provider=lambda p: unit_costs,
-                     backend=args.search_backend, jobs=args.jobs,
+                     jobs=args.jobs,
                      tracer=tracer, registry=registry),
         FlinkDefaultStrategy(),
         FlinkEvenlyStrategy(),

@@ -68,11 +68,9 @@ class ControllerConfig:
     profiling_duration_s: float = 120.0
     autotune_timeout_s: float = 5.0
     search_timeout_s: float = 5.0
-    #: Placement-search backend: ``sequential``, ``thread``, or
-    #: ``process`` (true multicore; see repro.core.parallel_proc).
-    search_backend: str = "sequential"
-    #: Worker count for the parallel search backends (None: one per core).
-    search_jobs: Optional[int] = None
+    #: Worker processes for the placement search: 1 runs it in process,
+    #: more partition it over a process pool (see repro.core.parallel).
+    search_jobs: int = 1
     #: Minimum quiet period between rescales on top of the activation
     #: time (0 disables the cooldown). Each rescale that fires while the
     #: previous window is still warm multiplies the cooldown by
@@ -129,6 +127,10 @@ class ControllerConfig:
         if self.autotune_timeout_s <= 0:
             raise ValueError(
                 f"autotune_timeout_s must be positive, got {self.autotune_timeout_s}"
+            )
+        if self.search_jobs < 1:
+            raise ValueError(
+                f"search_jobs must be >= 1, got {self.search_jobs}"
             )
         if self.rescale_cooldown_s < 0:
             raise ValueError("rescale_cooldown_s must be non-negative")
@@ -355,7 +357,6 @@ class CAPSysController:
             return CapsStrategy(
                 source_rates=source_rates,
                 unit_costs_provider=lambda physical: unit_costs,
-                backend=self.config.search_backend,
                 jobs=self.config.search_jobs,
                 autotune_timeout_s=self.config.autotune_timeout_s,
                 search_timeout_s=self.config.search_timeout_s,

@@ -9,8 +9,8 @@
 - :mod:`repro.core.reorder` -- search-tree exploration reordering (4.4.2).
 - :mod:`repro.core.pareto` -- pareto-front bookkeeping over cost vectors.
 - :mod:`repro.core.autotune` -- two-phase threshold auto-tuning (5.2).
-- :mod:`repro.core.parallel` -- thread-pool parallel search (5.1).
-- :mod:`repro.core.parallel_proc` -- multicore process-pool search.
+- :mod:`repro.core.parallel` -- partitioned search on a process pool
+  (5.1), and :func:`run_search`, which picks it by worker count.
 - :mod:`repro.core.search_reference` -- frozen pre-optimisation DFS
   (equivalence baseline for tests and benchmarks).
 - :mod:`repro.core.greedy` -- LPT-style warm start seeding thresholds.
@@ -25,12 +25,7 @@ from repro.core.autotune import AutoTuneResult, ThresholdAutoTuner
 from repro.core.greedy import greedy_balanced_plan, greedy_threshold_seed
 from repro.core.reorder import exploration_order
 from repro.core.skew import bucket_shares, skewed_task_costs, zipf_shares
-from repro.core.parallel import ParallelCapsSearch
-from repro.core.parallel_proc import (
-    SEARCH_BACKENDS,
-    ProcessCapsSearch,
-    run_search,
-)
+from repro.core.parallel import ProcessCapsSearch, run_search
 
 __all__ = [
     "PlacementPlan",
@@ -48,9 +43,7 @@ __all__ = [
     "exploration_order",
     "greedy_balanced_plan",
     "greedy_threshold_seed",
-    "ParallelCapsSearch",
     "ProcessCapsSearch",
-    "SEARCH_BACKENDS",
     "run_search",
     "zipf_shares",
     "bucket_shares",

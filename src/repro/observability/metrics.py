@@ -7,13 +7,13 @@ either a Prometheus-style text exposition or a JSON snapshot. Adopters:
 :class:`~repro.simulator.metrics.MetricsCollector` (tick counters and
 job gauges), :class:`~repro.simulator.plan_cache.PlanEvaluationCache`
 (hit/miss/eviction counters), :class:`~repro.placement.caps.CapsStrategy`
-(search work counters, shipped back from the parallel backends through
-:class:`~repro.core.search.SearchStats`), and the CAPSys controller
+(search work counters, shipped back from the search's pool workers
+through :class:`~repro.core.search.SearchStats`), and the CAPSys controller
 (deploys, DS2 decisions, rescales).
 
 Thread safety: the registry protects its metric map with a lock, and
-every metric guards its own state, so the thread-pool search driver and
-the engine can update concurrently. Exported orderings are sorted, so
+every metric guards its own state, so callers on several threads can
+update one registry concurrently. Exported orderings are sorted, so
 exposition output is deterministic regardless of creation order.
 """
 

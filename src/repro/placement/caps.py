@@ -17,7 +17,7 @@ from repro.dataflow.physical import PhysicalGraph
 from repro.core.autotune import ThresholdAutoTuner
 from repro.core.greedy import greedy_balanced_plan, greedy_threshold_seed
 from repro.core.cost_model import CostModel, CostVector, TaskCosts
-from repro.core.parallel_proc import SEARCH_BACKENDS, run_search
+from repro.core.parallel import run_search
 from repro.core.plan import PlacementPlan
 from repro.core.search import CapsSearch, SearchLimits
 from repro.diagnosis.explain import Explanation, explain_placement
@@ -38,14 +38,9 @@ class CapsStrategy(PlacementStrategy):
             are auto-tuned per placement problem (paper section 5.2).
         unit_costs_provider: Optional callable returning profiled unit
             costs for a physical graph; defaults to ground-truth specs.
-        threads: >1 enables the thread-pool search driver (legacy knob;
-            prefer ``backend``/``jobs``).
-        backend: Search backend — ``sequential``, ``thread``, or
-            ``process`` (true multicore). Defaults to ``thread`` when
-            ``threads > 1``, else ``sequential``.
-        jobs: Worker count for the parallel backends (default:
-            ``threads`` for the thread backend, one per core for the
-            process backend).
+        jobs: Worker processes for the final search: 1 runs the
+            sequential DFS in process, more partition it over a process
+            pool (:func:`repro.core.parallel.run_search`).
         autotune_timeout_s: Budget for the auto-tuning phase.
         search_timeout_s: Budget for the final pareto search.
         tracer: Optional :class:`~repro.observability.Tracer`; each
@@ -54,10 +49,10 @@ class CapsStrategy(PlacementStrategy):
             per search depth (completions and net prunes from
             :class:`~repro.core.search.SearchStats`).
         registry: Optional :class:`~repro.observability.MetricRegistry`
-            accumulating search work counters across placements. The
-            parallel backends ship their counters back through the
-            existing :class:`~repro.core.search.SearchStats` merge, so
-            the registry sees exact totals regardless of backend.
+            accumulating search work counters across placements. Pool
+            workers ship their counters back through the
+            :class:`~repro.core.search.SearchStats` merge, so the
+            registry sees exact totals whatever ``jobs`` is.
     """
 
     name = "caps"
@@ -67,9 +62,7 @@ class CapsStrategy(PlacementStrategy):
         source_rates: RateMap,
         thresholds: Optional[Union[CostVector, Mapping[str, float]]] = None,
         unit_costs_provider: Optional[Callable[[PhysicalGraph], Mapping]] = None,
-        threads: int = 1,
-        backend: Optional[str] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         autotune_timeout_s: float = 5.0,
         autotune_probe_timeout_s: float = 0.3,
         autotune_task_limit: int = 48,
@@ -81,16 +74,8 @@ class CapsStrategy(PlacementStrategy):
         self.source_rates = dict(source_rates)
         self.thresholds = thresholds
         self.unit_costs_provider = unit_costs_provider
-        self.threads = threads
-        if backend is None:
-            backend = "thread" if threads > 1 else "sequential"
-        if backend not in SEARCH_BACKENDS:
-            raise ValueError(
-                f"unknown search backend {backend!r}; expected one of {SEARCH_BACKENDS}"
-            )
-        self.backend = backend
-        if jobs is None and backend == "thread" and threads > 1:
-            jobs = threads
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.autotune_timeout_s = autotune_timeout_s
         self.autotune_probe_timeout_s = autotune_probe_timeout_s
@@ -199,15 +184,9 @@ class CapsStrategy(PlacementStrategy):
         )
         limits = SearchLimits(timeout_s=self.search_timeout_s)
         tr = self.tracer if self.tracer is not None else NULL_TRACER
-        with tr.wall_span(
-            "caps.search", cat="search", backend=self.backend
-        ) as span:
+        with tr.wall_span("caps.search", cat="search", jobs=self.jobs) as span:
             result = run_search(
-                search,
-                limits,
-                backend=self.backend,
-                jobs=self.jobs,
-                registry=self.registry,
+                search, limits, jobs=self.jobs, registry=self.registry
             )
             stats = result.stats
             span.set(

@@ -170,9 +170,11 @@ def _copy_summary(summary: SimulationSummary) -> SimulationSummary:
 class PlanEvaluationCache:
     """LRU map from simulation fingerprints to summaries.
 
-    Thread-safe: the threaded search backend evaluates plans from a
-    worker pool, so every access to the LRU order and the hit/miss
-    counters happens under one internal lock.
+    Thread-safe: one instance — the module-level :data:`DEFAULT_CACHE`
+    above all — may be shared by callers on several threads, so every
+    access to the LRU order and the hit/miss counters happens under one
+    internal lock (``tests/test_plan_cache.py`` runs four threads
+    against one cache).
     """
 
     def __init__(

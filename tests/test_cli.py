@@ -26,7 +26,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["place", "Q1-sliding", "--search-backend", "process", "--jobs", "0"],
+            ["place", "Q1-sliding", "--jobs", "0"],
             ["place", "Q9"],
             ["place", "Q1-sliding", "--workers", "0"],
             ["place", "Q1-sliding", "--slots", "0"],

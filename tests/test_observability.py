@@ -341,7 +341,7 @@ class TestCapsStrategyObservability:
         walls = tr.stream("wall")
         span = next(r for r in walls if r["name"] == "caps.search")
         assert span["args"]["nodes"] == strategy.last_search_stats.nodes
-        assert span["args"]["backend"] == "sequential"
+        assert span["args"]["jobs"] == 1
         layers = [r for r in walls if r["name"] == "caps.search.layer"]
         assert layers, "expected per-depth layer events"
         assert [l["args"]["depth"] for l in layers] == list(range(len(layers)))
@@ -357,16 +357,14 @@ class TestCapsStrategyObservability:
         graph = tiny_query().with_parallelism({"src": 1, "work": 4})
         physical = PhysicalGraph.expand(graph)
         results = {}
-        for backend in ("sequential", "thread"):
-            strategy = CapsStrategy(
-                {("tiny", "src"): 2000.0}, backend=backend, jobs=2
-            )
+        for jobs in (1, 2):
+            strategy = CapsStrategy({("tiny", "src"): 2000.0}, jobs=jobs)
             strategy.place(physical, CLUSTER)
             stats = strategy.last_search_stats
-            results[backend] = (
+            results[jobs] = (
                 stats.layer_completions, stats.layer_net_prunes, stats.nodes
             )
-        assert results["sequential"] == results["thread"]
+        assert results[1] == results[2]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Unit tests for the parallel search driver (paper section 5.1)."""
+"""Unit tests for the partitioned process-pool search (paper section 5.1)."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.dataflow.cluster import Cluster, WorkerSpec
 from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.dataflow.physical import PhysicalGraph
 from repro.core.cost_model import CostModel, TaskCosts
-from repro.core.parallel import ParallelCapsSearch, enumerate_layer_assignments
+from repro.core.parallel import ProcessCapsSearch, enumerate_seeds
 from repro.core.search import CapsSearch, SearchLimits
 
 SPEC = WorkerSpec(cpu_capacity=4.0, disk_bandwidth=1e8, network_bandwidth=1e9, slots=3)
@@ -29,7 +29,7 @@ def make_search(**kwargs):
 class TestLayerEnumeration:
     def test_assignments_cover_layer_count(self):
         _, _, search = make_search()
-        seeds = enumerate_layer_assignments(search)
+        seeds = enumerate_seeds(search).seeds
         assert seeds
         layer = search.layers[0]
         for seed in seeds:
@@ -38,7 +38,7 @@ class TestLayerEnumeration:
 
     def test_assignments_are_duplicate_free(self):
         _, _, search = make_search()
-        seeds = enumerate_layer_assignments(search)
+        seeds = enumerate_seeds(search).seeds
         assert len({tuple(s) for s in seeds}) == len(seeds)
         # homogeneous workers with empty history: canonical vectors are
         # non-increasing
@@ -47,19 +47,19 @@ class TestLayerEnumeration:
 
 
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_same_plan_count_as_sequential(self, threads):
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_same_plan_count_as_sequential(self, jobs):
         physical, cluster, search = make_search(collect_pareto=False)
         sequential = search.run()
         _, _, search2 = make_search(collect_pareto=False)
-        parallel = ParallelCapsSearch(search2, threads=threads).run()
+        parallel = ProcessCapsSearch(search2, jobs=jobs).run()
         assert parallel.stats.plans_found == sequential.stats.plans_found
 
     def test_same_best_cost_as_sequential(self):
         physical, cluster, search = make_search()
         sequential = search.run()
         _, _, search2 = make_search()
-        parallel = ParallelCapsSearch(search2, threads=3).run()
+        parallel = ProcessCapsSearch(search2, jobs=3).run()
         assert parallel.found
         assert parallel.best_cost.total() == pytest.approx(
             sequential.best_cost.total(), abs=1e-9
@@ -70,26 +70,21 @@ class TestParallelEquivalence:
         _, _, search = make_search()
         sequential = search.run()
         _, _, search2 = make_search()
-        parallel = ParallelCapsSearch(search2, threads=2).run()
+        parallel = ProcessCapsSearch(search2, jobs=2).run()
         seq_costs = sorted(c.as_tuple() for c, _ in sequential.pareto.entries())
         par_costs = sorted(c.as_tuple() for c, _ in parallel.pareto.entries())
         assert seq_costs == par_costs
 
     def test_first_satisfying_mode(self):
         _, _, search = make_search()
-        result = ParallelCapsSearch(search, threads=2).run(
+        result = ProcessCapsSearch(search, jobs=2).run(
             SearchLimits(first_satisfying=True)
         )
         assert result.found
 
-    def test_thread_validation(self):
-        _, _, search = make_search()
-        with pytest.raises(ValueError):
-            ParallelCapsSearch(search, threads=0)
-
     def test_respects_thresholds(self):
         _, _, search = make_search(thresholds={"cpu": 0.3, "io": 0.3})
-        result = ParallelCapsSearch(search, threads=2).run()
+        result = ProcessCapsSearch(search, jobs=2).run()
         for cost, _ in result.pareto.entries():
             assert cost.cpu <= 0.3 + 1e-6
             assert cost.io <= 0.3 + 1e-6
