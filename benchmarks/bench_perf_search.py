@@ -8,18 +8,21 @@ a. **Incremental DFS bookkeeping** — the optimised sequential
    :class:`~repro.core.search.CapsSearch` against the frozen
    pre-optimisation copy in :mod:`repro.core.search_reference`, on the
    Table 2 pruning workload (Q3-inf on 8 r5d.xlarge workers).
-b. **Parallel search backends** — sequential vs thread vs process on a
-   full-pareto search, with bit-exact front equality across backends.
-   Process-pool speedup is only meaningful on multicore hosts; below 4
-   cores the criterion is recorded as not applicable.
+b. **Partitioned search** — the sequential search vs a process pool
+   (``jobs`` > 1) on a full-pareto search, with bit-exact front
+   equality. Process-pool speedup is only meaningful on multicore
+   hosts; below 4 cores the criterion is recorded as not applicable.
 c. **Plan-evaluation cache** — a Figure 7-style repeated-run sweep
    (deterministic CAPS placement simulated ``RUNS`` times) cold
    (``cache=None``) vs warm (a fresh cache), with byte-identical
    summaries.
 
-Results are printed and written to ``BENCH_perf.json`` next to the
-working directory via the shared writer. ``--smoke`` shrinks every
-workload so the whole script finishes well under a minute for CI.
+Results are printed and merged into ``BENCH_perf.json`` in the working
+directory as three sections, each labelled with the commit and the
+smoke flag; the last result from another commit stays under
+``previous``, and the file's other sections are kept. ``--smoke``
+shrinks every workload so the whole script finishes well under a
+minute for CI.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perf_search.py [--smoke]
@@ -34,11 +37,10 @@ import threading
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _helpers import write_bench_json
+from _helpers import current_commit, merge_bench_section_with_previous
 
 from repro.core.cost_model import CostModel, TaskCosts
-from repro.core.parallel import ParallelCapsSearch
-from repro.core.parallel_proc import ProcessCapsSearch
+from repro.core.parallel import ProcessCapsSearch
 from repro.core.search import CapsSearch, SearchLimits
 from repro.core.search_reference import ReferenceCapsSearch
 from repro.dataflow.cluster import Cluster, R5D_XLARGE
@@ -164,7 +166,7 @@ def bench_incremental(smoke: bool) -> dict:
 
 
 def bench_backends(smoke: bool) -> dict:
-    """(b) sequential vs thread vs process full-pareto search."""
+    """(b) sequential vs process-pool full-pareto search."""
     shape = dict(source=2, decode=3, inference=5, sink=3) if smoke else dict(
         source=2, decode=4, inference=7, sink=4
     )
@@ -179,20 +181,18 @@ def bench_backends(smoke: bool) -> dict:
 
     jobs = max(2, os.cpu_count() or 1)
     seq_s, seq = _timed(lambda: make().run())
-    thr_s, thr = _timed(lambda: ParallelCapsSearch(make(), threads=jobs).run())
     proc_s, proc = _timed(lambda: ProcessCapsSearch(make(), jobs=jobs).run())
 
-    for name, result in (("thread", thr), ("process", proc)):
-        assert _stats_key(result.stats) == _stats_key(seq.stats), name
-        assert _front_key(result) == _front_key(seq), (
-            f"{name} backend pareto front differs from sequential"
-        )
+    assert _stats_key(proc.stats) == _stats_key(seq.stats)
+    assert _front_key(proc) == _front_key(seq), (
+        "process-pool pareto front differs from sequential"
+    )
     cores = os.cpu_count() or 1
     process_speedup = seq_s / proc_s if proc_s > 0 else None
     applicable = cores >= 4
     print(
-        f"  sequential {seq_s:.3f}s, thread({jobs}) {thr_s:.3f}s, "
-        f"process({jobs}) {proc_s:.3f}s on {cores} core(s); fronts bit-identical"
+        f"  sequential {seq_s:.3f}s, process({jobs}) {proc_s:.3f}s "
+        f"on {cores} core(s); fronts bit-identical"
     )
     if not applicable:
         print(
@@ -204,7 +204,6 @@ def bench_backends(smoke: bool) -> dict:
         "jobs": jobs,
         "cpu_count": cores,
         "sequential_s": round(seq_s, 4),
-        "thread_s": round(thr_s, 4),
         "process_s": round(proc_s, 4),
         "process_speedup": round(process_speedup, 3),
         "meets_2x_on_4_cores": (process_speedup >= 2.0) if applicable else "n/a",
@@ -269,21 +268,20 @@ def main(argv=None) -> int:
 
     print("[a] incremental DFS bookkeeping (sequential, vs frozen reference)")
     incremental = bench_incremental(args.smoke)
-    print("[b] search backends (sequential vs thread vs process)")
+    print("[b] partitioned search (sequential vs process pool)")
     backends = bench_backends(args.smoke)
     print("[c] plan-evaluation cache (cold vs warm sweep)")
     cache = bench_plan_cache(args.smoke)
 
-    path = write_bench_json(
-        "perf",
-        {
-            "smoke": args.smoke,
-            "incremental_search": incremental,
-            "search_backends": backends,
-            "plan_cache": cache,
-        },
-        directory=args.out_dir,
-    )
+    label = {"commit": current_commit(), "smoke": args.smoke}
+    for section, payload in (
+        ("incremental_search", incremental),
+        ("search_backends", backends),
+        ("plan_cache", cache),
+    ):
+        path = merge_bench_section_with_previous(
+            "perf", section, {**label, **payload}, directory=args.out_dir
+        )
     print(f"wrote {path}")
     return 0
 
