@@ -1044,9 +1044,12 @@ class CAPSysController:
     def _drain_samples(
         self, deployment: Deployment, result: AdaptiveRunResult
     ) -> None:
-        series = deployment.engine.metrics.job_series(deployment.graph.job_id)
-        fresh = series[deployment.samples_taken :]
-        deployment.samples_taken = len(series)
+        # Each engine row is drained exactly once: ask only for the rows
+        # past the ones this deployment already took.
+        fresh = deployment.engine.metrics.job_series(
+            deployment.graph.job_id, deployment.samples_taken
+        )
+        deployment.samples_taken += len(fresh)
         for sample in fresh:
             result.samples.append(
                 TimelineSample(

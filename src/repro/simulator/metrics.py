@@ -342,21 +342,32 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Job-level series and summaries
     # ------------------------------------------------------------------
-    def job_series(self, job_id: str) -> List[TickSample]:
+    def job_series(self, job_id: str, start: int = 0) -> List[TickSample]:
+        """One job's per-tick samples, from row ``start`` on.
+
+        ``job_series(job_id, start)`` equals ``job_series(job_id)[start:]``
+        (empty once ``start`` reaches the row count), but builds only the
+        rows it returns: a caller that drains the series as it grows
+        passes the number of rows it already holds and pays only for the
+        new ones. A negative ``start`` raises :class:`ValueError` rather
+        than selecting the tail.
+        """
+        if start < 0:
+            raise ValueError(f"start must be non-negative, got {start}")
         try:
             store = self._series[job_id]
         except KeyError:
             raise KeyError(f"unknown job {job_id!r}") from None
         return [
             TickSample(
-                time_s=float(row[_TIME]),
-                target_rate=float(row[_TARGET]),
-                throughput=float(row[_THPT]),
-                backpressure=float(row[_BP]),
-                latency_s=float(row[_LAT]),
-                queued_records=float(row[_QUEUED]),
+                time_s=row[_TIME],
+                target_rate=row[_TARGET],
+                throughput=row[_THPT],
+                backpressure=row[_BP],
+                latency_s=row[_LAT],
+                queued_records=row[_QUEUED],
             )
-            for row in store.data()
+            for row in store.data()[start:].tolist()
         ]
 
     def summarize(self, warmup_s: Seconds = 0.0) -> SimulationSummary:

@@ -20,6 +20,8 @@ from repro.dataflow.physical import PhysicalGraph
 from repro.faults import ChaosSchedule, CheckpointConfig, ClusterHealth, FaultEvent
 from repro.observability import MetricRegistry, Tracer
 from repro.placement.caps import CapsStrategy
+from repro.simulator.engine import FluidSimulation
+from repro.simulator.metrics import MetricsCollector
 from repro.workloads.rates import ConstantRate
 
 CLUSTER = Cluster.homogeneous(R5D_XLARGE.with_slots(8), count=4)
@@ -104,6 +106,48 @@ class TestForcedReplan:
         # un-gated policy tick instead of interrupting the run.
         recover = [r for r in reasons if r == "fault:recover:w1"]
         assert len(recover) == 1
+
+
+class TestSampleDrain:
+    def test_each_engine_row_is_drained_once(self, monkeypatch):
+        # The controller drains every deployment's job series into the
+        # timeline each round. Counting the rows job_series hands out
+        # across a run with a crash redeploy must give exactly the ticks
+        # the drained engines executed: no row is rebuilt twice.
+        engines = []
+        build_engine = FluidSimulation.__init__
+
+        def recording_init(self, *args, **kwargs):
+            build_engine(self, *args, **kwargs)
+            engines.append(self)
+
+        handed_out = []
+        series = MetricsCollector.job_series
+
+        def counting_series(self, *args, **kwargs):
+            rows = series(self, *args, **kwargs)
+            handed_out.append((self, len(rows)))
+            return rows
+
+        monkeypatch.setattr(FluidSimulation, "__init__", recording_init)
+        monkeypatch.setattr(MetricsCollector, "job_series", counting_series)
+        ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
+        result = ctl.run_adaptive(
+            {"src": ConstantRate(2000.0)},
+            duration_s=200.0,
+            chaos=ChaosSchedule.parse("crash:w1@100"),
+        )
+        assert [e.reason for e in result.events].count("fault:crash:w1") == 1
+        drained = [
+            e for e in engines if any(c is e.metrics for c, _ in handed_out)
+        ]
+        assert len(drained) >= 2
+        assert sum(n for _, n in handed_out) == sum(
+            e._tick_index for e in drained
+        )
+        # 195 engine ticks plus the 5 s restart downtime, as before the
+        # drain asked only for new rows.
+        assert len(result.samples) == 200
 
 
 class TestRecoveryDowntime:

@@ -117,6 +117,27 @@ class TestSummaries:
         with pytest.raises(KeyError):
             c.job_series("ghost")
 
+    def test_job_series_from_a_start_row_is_the_tail(self):
+        c = collector()
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0):
+            c.record_job_tick("job", sample(t, thpt=10.0 * t))
+            rates = np.full(2, t)
+            c.record_task_tick(rates, rates, rates, np.zeros(2))
+        c.replicate_last(3, np.array([6.0, 7.0, 8.0]))
+        full = c.job_series("job")
+        assert len(full) == 8
+        assert full[-1] == sample(8.0, thpt=50.0)
+        # first row, middle row, last row, the end, past the end
+        for start in (0, 4, 7, 8, 20):
+            assert c.job_series("job", start) == full[start:]
+
+    def test_job_series_rejects_a_negative_start(self):
+        c = collector()
+        c.record_job_tick("job", sample(1.0))
+        c.record_job_tick("job", sample(2.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            c.job_series("job", -1)
+
 
 class TestJobSummary:
     def test_meets_target(self):
