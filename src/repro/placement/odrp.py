@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.dataflow.cluster import Cluster, WorkerSpec
 from repro.dataflow.graph import LogicalGraph
@@ -182,6 +181,11 @@ class OdrpSolver:
     # MILP assembly
     # ------------------------------------------------------------------
     def solve(self) -> OdrpResult:
+        # scipy.optimize takes about half a second to import and only
+        # this solver needs it, so it loads on the first solve rather
+        # than with repro.placement.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         ops, workers, K = self.ops, self.workers, self.k_max
         n_ops, n_w = len(ops), len(workers)
         edges = [(e.src, e.dst) for e in self.graph.edges]

@@ -1,8 +1,15 @@
 """Unit tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -108,3 +115,24 @@ class TestCommands:
             main(["place", "Q99-nope"])
         assert exit_info.value.code == 2
         assert "unknown query 'Q99-nope'" in capsys.readouterr().err
+
+
+class TestColdStart:
+    def test_importing_the_cli_does_not_load_scipy(self):
+        # Only the ODRP baseline needs scipy.optimize (~0.5 s to import);
+        # every other command must start without it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import sys, repro.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=REPO_ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
