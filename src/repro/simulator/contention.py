@@ -83,11 +83,11 @@ def proportional_scale(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """
     demand = np.asarray(demand, dtype=float)
     capacity = np.asarray(capacity, dtype=float)
-    if np.any(capacity <= 0):
+    if (capacity <= 0).any():
         raise ValueError("capacities must be positive")
     scale = np.ones_like(demand)
     over = demand > capacity
-    if np.any(over):
+    if over.any():
         scale[over] = capacity[over] / demand[over]
     return scale
 
@@ -121,7 +121,7 @@ def thread_oversubscription_penalty(
     oversubscription ratio beyond that.
     """
     cores = np.asarray(cores, dtype=float)
-    if np.any(cores <= 0):
+    if (cores <= 0).any():
         raise ValueError("core counts must be positive")
     excess = np.maximum(0.0, np.asarray(active_threads, dtype=float) - cores)
     return 1.0 + coeff * excess / cores
