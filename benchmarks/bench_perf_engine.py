@@ -14,9 +14,17 @@ b. **Chaos workload** — step rates plus a degrade/recover schedule and
    every event, so the speedup is modest; the criterion here is purely
    byte-identical results (whatever the speedup turns out to be).
 
-Results are merged into ``BENCH_perf.json`` (preserving the search
-sections written by ``bench_perf_search.py``). ``--smoke`` shrinks the
-simulated horizons so the script finishes in seconds for CI.
+Both workloads also report ``reference_us_per_tick``, the per-tick
+cost of the tick-by-tick loop: the median of ``REFERENCE_REPEATS``
+reference runs divided by the ticks each executes.
+
+Results are merged into the ``engine_fast_forward`` section of
+``BENCH_perf.json`` (the other sections are kept), labelled with the
+commit and the smoke flag; the section's last result from another
+commit stays under ``previous``, so running the script at a parent
+commit and then at its change leaves both numbers side by side.
+``--smoke`` shrinks the simulated horizons so the script finishes in
+seconds for CI.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_perf_engine.py [--smoke]
@@ -26,11 +34,17 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _helpers import ds2_sized_graph, merge_bench_json, profiled_controller
+from _helpers import (
+    current_commit,
+    ds2_sized_graph,
+    merge_bench_section_with_previous,
+    profiled_controller,
+)
 
 from repro.dataflow.physical import PhysicalGraph
 from repro.experiments.runner import make_isolation_cluster
@@ -40,6 +54,10 @@ from repro.faults.schedule import ChaosSchedule
 from repro.simulator.engine import FluidSimulation, SimulationConfig
 from repro.workloads import query_by_name
 from repro.workloads.rates import StepSchedule
+
+#: Reference (tick-by-tick) runs per workload on a full run; their
+#: median is the reported reference time.
+REFERENCE_REPEATS = 5
 
 
 def _deployment(preset_name: str, rate: float):
@@ -68,6 +86,21 @@ def _timed_run(physical, cluster, plan, rates, duration_s, warmup_s,
     return time.perf_counter() - start, summary, sim
 
 
+def _reference_runs(smoke, *args, **kwargs):
+    """Median time, summary and engine of the tick-by-tick reference."""
+    runs = [
+        _timed_run(*args, False, **kwargs)
+        for _ in range(1 if smoke else REFERENCE_REPEATS)
+    ]
+    ref_s = statistics.median(seconds for seconds, _, _ in runs)
+    _, summary, sim = runs[0]
+    return ref_s, summary, sim
+
+
+def _us_per_tick(seconds, sim):
+    return round(seconds / sim._tick_index * 1e6, 1)
+
+
 def bench_steady(smoke: bool) -> dict:
     """(a) Fig. 7-style steady run: one convergence, one leap."""
     duration = 150.0 if smoke else 600.0
@@ -75,7 +108,7 @@ def bench_steady(smoke: bool) -> dict:
     preset = query_by_name("Q1-sliding")
     deployment = _deployment("Q1-sliding", preset.isolation_rate)
 
-    ref_s, ref_summary, _ = _timed_run(*deployment, duration, warmup, False)
+    ref_s, ref_summary, ref_sim = _reference_runs(smoke, *deployment, duration, warmup)
     ff_s, ff_summary, ff_sim = _timed_run(*deployment, duration, warmup, True)
 
     assert repr(ref_summary) == repr(ff_summary), (
@@ -84,7 +117,8 @@ def bench_steady(smoke: bool) -> dict:
     speedup = ref_s / ff_s if ff_s > 0 else None
     meets = speedup is not None and speedup >= 5.0
     print(
-        f"  {duration:.0f}s steady Q1-sliding: reference {ref_s * 1e3:.1f}ms, "
+        f"  {duration:.0f}s steady Q1-sliding: reference {ref_s * 1e3:.1f}ms "
+        f"({_us_per_tick(ref_s, ref_sim)}us/tick), "
         f"fast-forward {ff_s * 1e3:.1f}ms ({speedup:.1f}x), "
         f"{ff_sim.leaps} leap(s) skipping {ff_sim.ticks_leapt} ticks; "
         "summaries byte-identical"
@@ -94,6 +128,7 @@ def bench_steady(smoke: bool) -> dict:
     return {
         "workload": f"Q1-sliding isolation, {duration:.0f}s simulated",
         "reference_s": round(ref_s, 4),
+        "reference_us_per_tick": _us_per_tick(ref_s, ref_sim),
         "fast_forward_s": round(ff_s, 4),
         "speedup": round(speedup, 3),
         "leaps": ff_sim.leaps,
@@ -120,8 +155,8 @@ def bench_chaos(smoke: bool) -> dict:
     physical, cluster, plan, rates = _deployment("Q2-join", preset.isolation_rate * 0.5)
     rates = {key: rate for key in rates}
 
-    ref_s, ref_summary, _ = _timed_run(
-        physical, cluster, plan, rates, duration, warmup, False,
+    ref_s, ref_summary, ref_sim = _reference_runs(
+        smoke, physical, cluster, plan, rates, duration, warmup,
         chaos=chaos, checkpoint=checkpoint,
     )
     ff_s, ff_summary, ff_sim = _timed_run(
@@ -134,7 +169,8 @@ def bench_chaos(smoke: bool) -> dict:
     )
     speedup = ref_s / ff_s if ff_s > 0 else None
     print(
-        f"  {duration:.0f}s chaos Q2-join: reference {ref_s * 1e3:.1f}ms, "
+        f"  {duration:.0f}s chaos Q2-join: reference {ref_s * 1e3:.1f}ms "
+        f"({_us_per_tick(ref_s, ref_sim)}us/tick), "
         f"fast-forward {ff_s * 1e3:.1f}ms ({speedup:.1f}x), "
         f"{ff_sim.leaps} leap(s) skipping {ff_sim.ticks_leapt} ticks; "
         "summaries byte-identical"
@@ -145,6 +181,7 @@ def bench_chaos(smoke: bool) -> dict:
             f"{duration:.0f}s simulated"
         ),
         "reference_s": round(ref_s, 4),
+        "reference_us_per_tick": _us_per_tick(ref_s, ref_sim),
         "fast_forward_s": round(ff_s, 4),
         "speedup": round(speedup, 3),
         "leaps": ff_sim.leaps,
@@ -169,10 +206,15 @@ def main(argv=None) -> int:
     print("[b] fast-forward under chaos (step rates + faults + checkpoints)")
     chaos = bench_chaos(args.smoke)
 
-    path = merge_bench_json(
+    path = merge_bench_section_with_previous(
         "perf",
         "engine_fast_forward",
-        {"smoke": args.smoke, "steady": steady, "chaos": chaos},
+        {
+            "commit": current_commit(),
+            "smoke": args.smoke,
+            "steady": steady,
+            "chaos": chaos,
+        },
         directory=args.out_dir,
     )
     print(f"wrote {path}")
