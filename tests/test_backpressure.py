@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simulator.backpressure import (
+    ChannelSet,
     destination_grants,
     distribute_inflow,
     emitter_throttles,
@@ -55,7 +56,7 @@ class TestEmitterThrottles:
         grants = np.array([1.0, 1.0, 0.2])
         c_src = np.array([0, 0])
         c_dst = np.array([1, 2])
-        throttle = emitter_throttles(grants, c_src, c_dst, task_count=3)
+        throttle = emitter_throttles(grants, ChannelSet(c_src, c_dst, task_count=3))
         assert throttle[0] == pytest.approx(0.2)
 
     def test_reroutable_takes_weighted_average(self):
@@ -65,7 +66,7 @@ class TestEmitterThrottles:
         share = np.array([0.5, 0.5])
         reroutable = np.array([True, True])
         throttle = emitter_throttles(
-            grants, c_src, c_dst, 3, c_share=share, c_reroutable=reroutable
+            grants, ChannelSet(c_src, c_dst, 3, c_share=share, c_reroutable=reroutable)
         )
         assert throttle[0] == pytest.approx(0.6)
 
@@ -77,14 +78,13 @@ class TestEmitterThrottles:
         # channel to task2 (grant 0.1) is HOL; channel to task1 reroutable
         reroutable = np.array([False, True])
         throttle = emitter_throttles(
-            grants, c_src, c_dst, 3, c_share=share, c_reroutable=reroutable
+            grants, ChannelSet(c_src, c_dst, 3, c_share=share, c_reroutable=reroutable)
         )
         assert throttle[0] == pytest.approx(0.1)
 
     def test_requires_share_for_reroutable(self):
         with pytest.raises(ValueError):
-            emitter_throttles(
-                np.array([1.0, 0.5]),
+            ChannelSet(
                 np.array([0]),
                 np.array([1]),
                 2,
@@ -94,7 +94,8 @@ class TestEmitterThrottles:
 
     def test_no_channels_no_throttle(self):
         throttle = emitter_throttles(
-            np.array([]), np.array([], dtype=int), np.array([], dtype=int), 2
+            np.array([]),
+            ChannelSet(np.array([], dtype=int), np.array([], dtype=int), 2),
         )
         assert throttle.tolist() == [1.0, 1.0]
 
@@ -109,11 +110,10 @@ class TestThrottleEmissions:
         queue = np.array([0.0, 0.0, 95.0])
         cap = np.array([np.inf, 100.0, 100.0])
         draining = np.zeros(3)
-        result = throttle_emissions(
-            out_recs, c_src, c_dst, c_share, queue, cap, draining
-        )
+        channels = ChannelSet(c_src, c_dst, 3, c_share)
+        result = throttle_emissions(out_recs, channels, queue, cap, draining)
         emitted = out_recs * result.throttle
-        inflow = distribute_inflow(emitted, c_src, c_dst, c_share, result)
+        inflow = distribute_inflow(emitted, channels, result)
         assert queue[2] + inflow[2] <= cap[2] + 1e-9
 
     def test_rebalance_reroutes_around_congested_consumer(self):
@@ -128,12 +128,10 @@ class TestThrottleEmissions:
         cap = np.array([np.inf, 1000.0, 100.0])
         draining = np.array([0.0, 0.0, 10.0])  # task2 drains 10/tick
         reroutable = np.array([True, True])
-        result = throttle_emissions(
-            out_recs, c_src, c_dst, c_share, queue, cap, draining,
-            c_reroutable=reroutable,
-        )
+        channels = ChannelSet(c_src, c_dst, 3, c_share, c_reroutable=reroutable)
+        result = throttle_emissions(out_recs, channels, queue, cap, draining)
         emitted = out_recs * result.throttle
-        inflow = distribute_inflow(emitted, c_src, c_dst, c_share, result)
+        inflow = distribute_inflow(emitted, channels, result)
         # the congested consumer gets only its drain capacity
         assert inflow[2] <= draining[2] + 1e-9
         # the healthy consumer absorbs the rest; per-edge conservation
@@ -148,11 +146,8 @@ class TestThrottleEmissions:
         c_share = np.array([0.25, 0.75])
         queue = np.zeros(3)
         cap = np.array([np.inf, 1000.0, 1000.0])
-        result = throttle_emissions(
-            out_recs, c_src, c_dst, c_share, queue, cap, np.zeros(3)
-        )
-        inflow = distribute_inflow(
-            out_recs * result.throttle, c_src, c_dst, c_share, result
-        )
+        channels = ChannelSet(c_src, c_dst, 3, c_share)
+        result = throttle_emissions(out_recs, channels, queue, cap, np.zeros(3))
+        inflow = distribute_inflow(out_recs * result.throttle, channels, result)
         assert inflow[1] == pytest.approx(10.0)
         assert inflow[2] == pytest.approx(30.0)
