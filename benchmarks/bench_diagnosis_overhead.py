@@ -15,7 +15,10 @@ Every run also re-verifies that diagnosis is a pure observer: the
 engine summary must be byte-identical with the layer on and off. The
 acceptance criterion is a mean overhead of at most 5% across the two
 workloads (enforced on full runs, reported on ``--smoke``). Results
-are merged into ``BENCH_perf.json`` under ``diagnosis_overhead``.
+are merged into ``BENCH_perf.json`` under ``diagnosis_overhead`` with
+the commit that produced them and whether the run was a smoke run; the
+last result of another commit is kept under ``previous`` (run it at a
+parent and then at its change for a before/after pair).
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_diagnosis_overhead.py [--smoke]
@@ -29,7 +32,12 @@ import sys
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from _helpers import ds2_sized_graph, merge_bench_json, profiled_controller
+from _helpers import (
+    current_commit,
+    ds2_sized_graph,
+    merge_bench_section_with_previous,
+    profiled_controller,
+)
 
 from repro.dataflow.physical import PhysicalGraph
 from repro.experiments.runner import make_isolation_cluster
@@ -140,10 +148,11 @@ def main(argv=None) -> int:
         )
 
     os.makedirs(args.out_dir, exist_ok=True)
-    path = merge_bench_json(
+    path = merge_bench_section_with_previous(
         "perf",
         "diagnosis_overhead",
         {
+            "commit": current_commit(),
             "smoke": args.smoke,
             "steady": steady,
             "chaos": chaos,

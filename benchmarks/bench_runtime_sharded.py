@@ -11,10 +11,12 @@ Not a paper table — these quantify the record-level execution layer:
   another commit (run it at a parent and then at its change for a
   before/after pair);
 - the fluid-vs-runtime cross-validation harness end to end, reporting
-  the measured prediction errors alongside the timing.
+  the measured prediction errors alongside the timing, written to
+  section ``runtime_validation`` as the per-query throughput error,
+  labelled and paired with ``previous`` the same way.
 
-There is no smoke mode: every run is the full 20k-event stream, so the
-section records ``"smoke": false``.
+There is no smoke mode: every run is the full 20k-event stream and the
+full validation, so both sections record ``"smoke": false``.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_runtime_sharded.py -q -s
 """
@@ -24,7 +26,6 @@ import sys
 sys.path.insert(0, "benchmarks")
 from _helpers import (
     current_commit,
-    merge_bench_json,
     merge_bench_section_with_previous,
     run_once,
 )
@@ -120,9 +121,13 @@ def test_cross_validation_harness(benchmark):
     print()
     print(format_validation(rows))
     worst = max(row.throughput_error for row in rows)
-    merge_bench_json(
+    merge_bench_section_with_previous(
         "perf",
         "runtime_validation",
-        {row.query: round(row.throughput_error, 4) for row in rows},
+        {
+            "commit": current_commit(),
+            "smoke": False,
+            **{row.query: round(row.throughput_error, 4) for row in rows},
+        },
     )
     assert worst <= 0.10
