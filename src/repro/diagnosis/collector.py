@@ -3,8 +3,9 @@
 A :class:`DiagnosisCollector` is attached to a running
 :class:`~repro.simulator.engine.FluidSimulation` via
 ``engine.enable_diagnosis()``. The engine calls :meth:`observe_tick`
-once per executed tick (with the tick's contention and backpressure
-working state) and :meth:`extend` for every fast-forward leap; the
+once per executed tick (with the tick's
+:class:`~repro.simulator.contention.Grants` and backpressure working
+state) and :meth:`extend` for every fast-forward leap; the
 owner — controller or CLI — calls :meth:`flush` exactly once when the
 engine retires, which emits the aggregated ``contention.blame``,
 ``diagnosis.provenance`` and ``diagnosis.bottleneck`` records into the
@@ -24,6 +25,7 @@ import numpy as np
 
 from repro.diagnosis.attribution import RESOURCES, ContentionAttributor
 from repro.diagnosis.provenance import BottleneckTracker
+from repro.simulator.contention import Grants
 from repro.units import Seconds
 
 #: Blame entities reported beyond co-located tasks: the concurrency
@@ -51,15 +53,8 @@ class DiagnosisCollector:
     # -- engine hooks --------------------------------------------------
     def observe_tick(
         self,
-        want: np.ndarray,
+        grants: Grants,
         target: np.ndarray,
-        cpu_demand: np.ndarray,
-        cpu_scale: np.ndarray,
-        cpu_effective: np.ndarray,
-        io_demand: np.ndarray,
-        io_scale: np.ndarray,
-        ckpt_io: Optional[np.ndarray],
-        net_scale: np.ndarray,
         throttles,
         proc_final: np.ndarray,
         dt: float,
@@ -69,31 +64,32 @@ class DiagnosisCollector:
         engine = self._engine
         # One bytes signature over every mutable tick input the
         # components read — including the capacity arrays the fault
-        # injector mutates. The derived quantities (net demand, heavy
-        # writers, effective disk capacity) are pure functions of these
-        # plus static topology, so an unchanged signature means both
-        # cached per-tick increments apply verbatim; the dominant-origin
-        # timeline is already in sync from the previous identical tick.
-        # Shapes are fixed per engine, so the joined tobytes encoding
-        # is injective and compares in C.
+        # injector mutates. The derived quantities (net demand, and the
+        # effective disk capacity the grants carry) are pure functions
+        # of these plus static topology, so an unchanged signature means
+        # both cached per-tick increments apply verbatim; the
+        # dominant-origin timeline is already in sync from the previous
+        # identical tick. Shapes are fixed per engine, so the joined
+        # tobytes encoding is injective and compares in C.
+        io_extra = grants.io_extra
         sig = b"".join(
             (
-                want.tobytes(),
+                grants.want.tobytes(),
                 target.tobytes(),
-                cpu_demand.tobytes(),
+                grants.cpu_demand.tobytes(),
                 proc_final.tobytes(),
-                io_demand.tobytes(),
+                grants.io_demand.tobytes(),
                 throttles.throttle.tobytes(),
                 throttles.grants.tobytes(),
-                cpu_scale.tobytes(),
-                cpu_effective.tobytes(),
-                io_scale.tobytes(),
-                net_scale.tobytes(),
+                grants.cpu_scale.tobytes(),
+                grants.cpu_effective.tobytes(),
+                grants.io_scale.tobytes(),
+                grants.net_scale.tobytes(),
                 engine.cpu_capacity.tobytes(),
                 engine.disk.capacity.tobytes(),
                 engine.nic.capacity.tobytes(),
                 engine.worker_alive.tobytes(),
-                ckpt_io.tobytes() if ckpt_io is not None else b"",
+                io_extra.tobytes() if io_extra is not None else b"",
             )
         )
         if sig == self._sig and dt == self._sig_dt:
@@ -102,22 +98,20 @@ class DiagnosisCollector:
             return
         self._sig = sig
         self._sig_dt = dt
-        net_demand = want * engine.cross_bytes_per_record / dt
-        heavy = engine.disk.heavy_writer_counts(io_demand, engine.worker)
-        disk_effective = engine.disk.effective_capacity(heavy)
+        net_demand = grants.want * engine.cross_bytes_per_record / dt
         self.attribution.observe(
             dt,
-            cpu_demand,
-            cpu_scale,
+            grants.cpu_demand,
+            grants.cpu_scale,
             engine.cpu_capacity,
-            cpu_effective,
-            io_demand,
-            io_scale,
+            grants.cpu_effective,
+            grants.io_demand,
+            grants.io_scale,
             engine.disk.capacity,
-            disk_effective,
-            ckpt_io,
+            grants.disk_effective,
+            io_extra,
             net_demand,
-            net_scale,
+            grants.net_scale,
             engine.nic.capacity,
         )
         self.provenance.observe(
@@ -125,9 +119,9 @@ class DiagnosisCollector:
             proc_final,
             throttles.throttle,
             throttles.grants,
-            cpu_scale,
-            io_scale,
-            net_scale,
+            grants.cpu_scale,
+            grants.io_scale,
+            grants.net_scale,
             engine.worker_alive,
             dt,
             tick_start_s,

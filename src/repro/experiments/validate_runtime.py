@@ -11,7 +11,8 @@ backpressure share twice under identical conditions:
 2. the sharded record runtime
    (:class:`~repro.runtime.parallel.ShardedExecutor`) executing a
    seeded Nexmark dataset generated at the same target rates, with
-   per-slice budgets drawn from the same contention primitives.
+   per-slice budgets from the resource-sharing function the engine
+   calls every tick, under the same :class:`SimulationConfig`.
 
 The per-query prediction errors are the repo's standing evidence that
 placement conclusions drawn from the fluid model transfer to record
@@ -31,11 +32,7 @@ from repro.dataflow.physical import PhysicalGraph
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import source_rate_map
 from repro.placement.flink_evenly import FlinkEvenlyStrategy
-from repro.runtime.parallel import (
-    PipelineTemplate,
-    ShardedExecutor,
-    ShardedRuntimeConfig,
-)
+from repro.runtime.parallel import PipelineTemplate, ShardedExecutor
 from repro.runtime.queries import (
     bid_sessions_template,
     hot_items_template,
@@ -158,19 +155,20 @@ def cross_validate(
     rate_scale: float = 1.0,
     seed: int = 7,
     cluster: Optional[Cluster] = None,
-    runtime_config: Optional[ShardedRuntimeConfig] = None,
     tracer=None,
     registry=None,
 ) -> List[ValidationRow]:
     """Run each query through both engines and report prediction error.
 
     Both engines see the same physical graph, the same placement (Flink
-    evenly, seed 0) and the same target rates; the runtime additionally
-    consumes a seeded Nexmark dataset generated at those rates. Errors:
+    evenly, seed 0), the same target rates and the same
+    :class:`SimulationConfig`; the runtime additionally consumes a
+    seeded Nexmark dataset generated at those rates. Errors:
     relative for throughput, absolute for the backpressure *share* (a
     fraction of target already).
     """
     cluster = cluster or default_cluster()
+    config = SimulationConfig(dt=1.0, seed=seed, noise_std=0.0)
     rows: List[ValidationRow] = []
     for query in queries:
         try:
@@ -187,7 +185,7 @@ def cross_validate(
             cluster,
             plan,
             source_rate_map(scenario.graph, scenario.source_rates),
-            config=SimulationConfig(dt=1.0, seed=seed, noise_std=0.0),
+            config=config,
             tracer=tracer,
             registry=registry,
         )
@@ -199,7 +197,7 @@ def cross_validate(
             plan=plan,
             cluster=cluster,
             source_rates=scenario.source_rates,
-            config=runtime_config,
+            config=config,
             tracer=tracer,
             registry=registry,
         )

@@ -25,9 +25,14 @@ credit-based backpressure (:mod:`repro.runtime.channels`); everything
 still runs deterministically in one process. Given no physical graph
 it simply runs ``Pipeline.run``; on a physical graph with every
 operator at parallelism 1 its scheduler reproduces ``Pipeline.run``'s
-outputs and statistics exactly. The cross-validation harness
-(:mod:`repro.experiments.validate_runtime`) uses it to check the fluid
-simulator's predictions against actual record execution.
+outputs and statistics exactly. Given a cluster it paces each operator
+instance with record budgets from the fluid engine's own
+resource-sharing step
+(:func:`~repro.simulator.contention.share_resources`), configured by
+the engine's :class:`~repro.simulator.engine.SimulationConfig`. The
+cross-validation harness (:mod:`repro.experiments.validate_runtime`)
+uses it to check the fluid simulator's predictions against actual
+record execution.
 """
 
 from repro.runtime.windows import (
@@ -55,10 +60,8 @@ from repro.runtime.parallel import (
     RuntimeJobSummary,
     ShardedExecutor,
     ShardedResult,
-    ShardedRuntimeConfig,
     SourceDef,
     StageDef,
-    run_sharded,
     stable_hash,
 )
 
@@ -69,10 +72,8 @@ __all__ = [
     "RuntimeJobSummary",
     "ShardedExecutor",
     "ShardedResult",
-    "ShardedRuntimeConfig",
     "SourceDef",
     "StageDef",
-    "run_sharded",
     "stable_hash",
     "Window",
     "TumblingWindows",

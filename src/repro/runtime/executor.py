@@ -101,7 +101,7 @@ class Pipeline:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, allowed_lateness_ms: int = 0) -> PipelineResult:
+    def run(self) -> PipelineResult:
         """Execute to completion and return outputs plus statistics."""
         check_chain_shape(len(self._sources), self._operators)
         head = self._operators[0]
@@ -138,7 +138,7 @@ class Pipeline:
                 push(1, head.process_side(side, record))
             else:
                 push(1, head.process(record))
-            advance_watermark(timestamp - allowed_lateness_ms)
+            advance_watermark(timestamp)
 
         advance_watermark(_END_OF_TIME)
 

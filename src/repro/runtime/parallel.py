@@ -28,13 +28,14 @@ What runs depends on what the executor is given:
   ``Pipeline.run``'s outputs, operator counters and state statistics
   bitwise on Q1, Q2 and Q6 (``tests/test_runtime_parallel.py`` and
   ``tests/test_runtime_state_pins.py`` check this).
-- **Paced mode** (cluster + placement): virtual time advances in fixed
-  slices; per-slice record budgets are derived from the *same*
-  contention primitives as the fluid simulator (service floor,
-  proportional sharing, thread-oversubscription and compaction
-  penalties), so the fluid model's throughput predictions can be
-  cross-validated against actual record execution under the same
-  placement (``experiments/validate_runtime.py``).
+- **Paced mode** (cluster + placement): virtual time advances in
+  50 ms slices; per-slice record budgets come from the single-thread
+  cap and the resource-sharing function the fluid engine calls every
+  tick (:func:`~repro.simulator.contention.share_resources`), under the
+  same :class:`~repro.simulator.engine.SimulationConfig`, so the fluid
+  model's throughput predictions can be cross-validated against actual
+  record execution under the same placement
+  (``experiments/validate_runtime.py``).
 
 Watermarks travel in-band: each instance tracks the last watermark per
 input channel and advances to the minimum across its inputs, firing its
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -62,16 +63,26 @@ from repro.runtime.operators import (
     WindowJoinOperator,
 )
 from repro.runtime.state import StateStats
-from repro.simulator.contention import (
-    ContentionConfig,
-    proportional_scale,
-    thread_oversubscription_penalty,
-)
+from repro.simulator.contention import share_resources, thread_cap
+from repro.simulator.engine import SimulationConfig
 from repro.simulator.network import NicModel
 from repro.simulator.state_backend import DiskModel
 
 _END_OF_TIME = 2**62
 _MIN_WATERMARK = -(2**62)
+
+#: Paced-mode virtual-time slice: budgets, pacing and trace counters
+#: all advance at this granularity.
+_SLICE_MS = 50
+_SLICE_S = _SLICE_MS / 1000.0
+#: Records one instance may process per scheduler turn before yielding
+#: (fairness granularity).
+_TURN_CHUNK = 32
+#: Per-channel credit in semantic mode, where no cost model sizes it.
+_SEMANTIC_CHANNEL_RECORDS = 1024
+#: Floor for the paced mode's derived per-channel credits. An int, unlike
+#: the engine's ``min_queue_records``: channel capacities count records.
+_MIN_CHANNEL_RECORDS = 10
 
 
 def stable_hash(key: Any) -> int:
@@ -164,52 +175,8 @@ class PipelineTemplate:
 
 
 # ----------------------------------------------------------------------
-# Configuration and results
+# Results
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardedRuntimeConfig:
-    """Knobs of the sharded executor.
-
-    Attributes:
-        slice_ms: Virtual-time scheduler slice. Budgets, pacing and
-            metrics all advance at this granularity.
-        allowed_lateness_ms: Watermark lag behind source event time
-            (mirrors ``Pipeline.run``'s parameter).
-        channel_capacity_records: Fixed per-channel credit; ``None``
-            derives capacities from the cost model (paced mode) or uses
-            ``default_channel_records`` (semantic mode).
-        default_channel_records: Fallback per-channel credit when no
-            cost model is available.
-        buffer_bytes_per_task: Paced-mode per-instance input buffer in
-            bytes (split across its input channels), like the fluid
-            engine's per-task buffer.
-        min_channel_records: Floor for derived per-channel credits.
-        max_buffer_seconds: Paced-mode buffer debloating bound: credits
-            hold at most this many seconds of uncontended service.
-        contention: Contention coefficients shared with the fluid model.
-        turn_chunk: Records one instance may process per scheduler turn
-            before yielding (fairness granularity).
-        metrics_every_slices: Trace-counter cadence in slices.
-    """
-
-    slice_ms: int = 50
-    allowed_lateness_ms: int = 0
-    channel_capacity_records: Optional[int] = None
-    default_channel_records: int = 1024
-    buffer_bytes_per_task: float = 16 * 1024 * 1024
-    min_channel_records: int = 10
-    max_buffer_seconds: float = 5.0
-    contention: ContentionConfig = field(default_factory=ContentionConfig)
-    turn_chunk: int = 32
-    metrics_every_slices: int = 1
-
-    def __post_init__(self) -> None:
-        if self.slice_ms <= 0:
-            raise ValueError("slice_ms must be positive")
-        if self.turn_chunk < 1:
-            raise ValueError("turn_chunk must be >= 1")
-
 
 @dataclass(frozen=True)
 class RuntimeJobSummary:
@@ -360,7 +327,13 @@ class ShardedExecutor:
         source_rates: Target records/s per logical source operator,
             used for the backpressure share of the run summary; when
             omitted the rate is estimated from dataset timestamps.
-        config: Scheduler knobs.
+        config: The fluid engine's configuration. Paced mode reads its
+            contention coefficients and buffer sizing
+            (``buffer_bytes_per_task``, ``max_buffer_seconds``), so one
+            config drives both executors.
+        channel_capacity_records: Fixed per-channel credit; ``None``
+            derives credits from the cost model (paced mode) or uses a
+            flat 1024 records (semantic mode).
         tracer: Optional tracer; ``runtime.shard`` spans and per-slice
             job counters land in the ``sim`` clock domain.
         registry: Optional metric registry for end-of-run counters.
@@ -375,7 +348,8 @@ class ShardedExecutor:
         plan=None,
         cluster=None,
         source_rates: Optional[Mapping[str, float]] = None,
-        config: Optional[ShardedRuntimeConfig] = None,
+        config: Optional[SimulationConfig] = None,
+        channel_capacity_records: Optional[int] = None,
         tracer=None,
         registry=None,
     ) -> None:
@@ -384,7 +358,8 @@ class ShardedExecutor:
         self.physical = physical
         self.plan = plan
         self.cluster = cluster
-        self.config = config or ShardedRuntimeConfig()
+        self.config = config or SimulationConfig()
+        self._channel_capacity_records = channel_capacity_records
         self.tracer = tracer
         self.registry = registry
         self._source_rates = dict(source_rates or {})
@@ -562,13 +537,12 @@ class ShardedExecutor:
         Mirrors the fluid engine's buffer sizing: bytes-derived caps,
         debloated to ``max_buffer_seconds`` of uncontended service, then
         split across the instance's input channels. Without a cluster
-        there is no service model, so every channel gets the flat
-        ``default_channel_records``. A fixed
-        ``channel_capacity_records`` overrides both.
+        there is no service model, so every channel gets a flat 1024
+        records. A fixed ``channel_capacity_records`` overrides both.
         """
         cfg = self.config
         capacities: Dict[str, Optional[int]] = {}
-        fixed = cfg.channel_capacity_records
+        fixed = self._channel_capacity_records
         for op in graph.topological_order():
             spec = graph.operator(op)
             for inst in instances_of[op]:
@@ -578,7 +552,7 @@ class ShardedExecutor:
                     capacities[inst.uid] = fixed
                     continue
                 if self.cluster is None:
-                    capacities[inst.uid] = cfg.default_channel_records
+                    capacities[inst.uid] = _SEMANTIC_CHANNEL_RECORDS
                     continue
                 in_edges = graph.upstream(op)
                 in_bytes = max(
@@ -600,13 +574,13 @@ class ShardedExecutor:
                     ),
                 )
                 capacities[inst.uid] = max(
-                    cfg.min_channel_records, int(per_task / n_in)
+                    _MIN_CHANNEL_RECORDS, int(per_task / n_in)
                 )
         return capacities
 
     # ------------------------------------------------------------------
-    # Cost model (paced mode): the fluid engine's offered-load and
-    # contention arithmetic, applied to actual per-instance queues.
+    # Cost model (paced mode): the fluid engine's thread cap and resource
+    # sharing, applied to actual per-instance queues.
     # ------------------------------------------------------------------
     def _build_cost_model(self) -> None:
         physical, cluster = self.physical, self.cluster
@@ -620,8 +594,7 @@ class ShardedExecutor:
             self.config.contention,
         )
         self._nic = NicModel(
-            np.array([w.spec.network_bandwidth for w in cluster.workers]),
-            self.config.contention,
+            np.array([w.spec.network_bandwidth for w in cluster.workers])
         )
         n = len(self._instances)
         self._cpu = np.zeros(n)
@@ -641,67 +614,36 @@ class ShardedExecutor:
                 if self.plan.worker_of(channel.dst) != src_worker:
                     cross += channel.share * spec.out_record_bytes * spec.selectivity
             self._cross_bytes[i] = cross
-        self._service_floor = (
+        self._uses = (self._cpu > 0, self._io > 0, self._cross_bytes > 0)
+        service_floor = (
             self._cpu
             + self._io / self._disk.capacity[self._worker]
             + self._cross_bytes / self._nic.capacity[self._worker]
         )
+        self._thread_cap = thread_cap(service_floor, _SLICE_S)
 
-    def _slice_budgets(self, due: np.ndarray, dt: float) -> np.ndarray:
+    def _slice_budgets(self, due: np.ndarray) -> np.ndarray:
         """Integer record budgets for one slice.
 
-        Step-for-step the fluid engine's offered-load and contention
-        arithmetic (``FluidSimulation.step`` phases 1-2), evaluated over
-        operator *instances* instead of fluid tasks: single-thread
-        service floor, then CPU proportional sharing under the
-        thread-oversubscription penalty, disk sharing under compaction
-        interference (:class:`DiskModel`), and NIC sharing of
-        cross-worker output bytes (:class:`NicModel`). Fractional grants
-        carry over between slices so long-run rates are unbiased.
+        The fluid engine's offered load and resource sharing over
+        operator *instances* instead of fluid tasks: the single-thread
+        cap, then :func:`share_resources`, the function
+        ``FluidSimulation.step`` calls. Only the NIC demand is summed
+        here, per instance. Fractional grants carry over between slices
+        so long-run rates are unbiased.
         """
-        contention = self.config.contention
-        with np.errstate(divide="ignore"):
-            thread_cap = np.where(
-                self._service_floor > 0,
-                dt / np.maximum(self._service_floor, 1e-300),
-                np.inf,
-            )
-        want = np.minimum(due, thread_cap)
-        cpu_demand = want * self._cpu / dt
-        cpu_by_worker = np.bincount(
-            self._worker, weights=cpu_demand, minlength=self._worker_count
-        )
-        active = cpu_demand > contention.cpu_active_share
-        active_threads = np.bincount(
-            self._worker[active], minlength=self._worker_count
-        )
-        cpu_penalty = thread_oversubscription_penalty(
-            active_threads, self._cpu_capacity, contention.cpu_thread_penalty
-        )
-        cpu_scale = proportional_scale(
-            cpu_by_worker, self._cpu_capacity / cpu_penalty
-        )
-        io_scale = self._disk.scale(
-            want * self._io / dt, self._worker, self._worker_count
-        )
+        want = np.minimum(due, self._thread_cap)
         net_by_worker = np.bincount(
             self._worker,
-            weights=want * self._cross_bytes / dt,
+            weights=want * self._cross_bytes / _SLICE_S,
             minlength=self._worker_count,
         )
-        net_scale = self._nic.scale(net_by_worker)
-        scale = np.ones(len(want))
-        scale = np.minimum(
-            scale, np.where(self._cpu > 0, cpu_scale[self._worker], 1.0)
+        grants = share_resources(
+            want, self._cpu, self._io, net_by_worker, self._worker, self._uses,
+            self._cpu_capacity, self._disk, self._nic, self.config.contention,
+            _SLICE_S,
         )
-        scale = np.minimum(
-            scale, np.where(self._io > 0, io_scale[self._worker], 1.0)
-        )
-        scale = np.minimum(
-            scale,
-            np.where(self._cross_bytes > 0, net_scale[self._worker], 1.0),
-        )
-        budget_f = want * scale + self._carry
+        budget_f = want * grants.scale + self._carry
         budgets = np.floor(budget_f)
         self._carry = budget_f - budgets
         return budgets
@@ -771,7 +713,6 @@ class ShardedExecutor:
         """
         used = 0
         progressed = False
-        chunk = self.config.turn_chunk
         while True:
             best = -1
             best_ticket = None
@@ -789,7 +730,7 @@ class ShardedExecutor:
                 self._handle_watermark(inst, best, watermark_ms)
                 progressed = True
                 continue
-            if used >= budget or used >= chunk:
+            if used >= budget or used >= _TURN_CHUNK:
                 break
             if not inst.can_emit():
                 for group in inst.out_groups:
@@ -816,9 +757,7 @@ class ShardedExecutor:
         """Release due records; returns (used, progress, blocked)."""
         used = 0
         progressed = False
-        chunk = self.config.turn_chunk
-        lateness = self.config.allowed_lateness_ms
-        while used < budget and used < chunk and not inst.exhausted():
+        while used < budget and used < _TURN_CHUNK and not inst.exhausted():
             record = inst.records[inst.pos]
             if record.timestamp_ms > now_ms:
                 break
@@ -832,7 +771,7 @@ class ShardedExecutor:
             inst.released += 1
             inst.released_in_slice += 1
             self._route(inst, [record], force=False)
-            self._broadcast_watermark(inst, record.timestamp_ms - lateness)
+            self._broadcast_watermark(inst, record.timestamp_ms)
             used += 1
             progressed = True
         if inst.exhausted() and not inst.end_sent:
@@ -865,9 +804,7 @@ class ShardedExecutor:
 
     # -- single instance: the reference executor -----------------------
     def _run_single_instance(self) -> ShardedResult:
-        result = self.template.build_pipeline().run(
-            self.config.allowed_lateness_ms
-        )
+        result = self.template.build_pipeline().run()
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.event(
                 "sim", "runtime.exact.done", 0.0, cat="runtime",
@@ -909,8 +846,7 @@ class ShardedExecutor:
     def _run_paced(
         self, duration_s: Optional[float], warmup_s: float
     ) -> RuntimeJobSummary:
-        cfg = self.config
-        dt = cfg.slice_ms / 1000.0
+        dt = _SLICE_S
         rates = self._resolved_source_rates()
         target_total = sum(rates.values())
         # Per-instance source offer cap, mirroring the fluid engine's
@@ -928,7 +864,7 @@ class ShardedExecutor:
         while True:
             if duration_s is not None and now_ms / 1000.0 >= duration_s:
                 break
-            now_ms += cfg.slice_ms
+            now_ms += _SLICE_MS
             due = np.zeros(len(self._instances))
             for i, inst in enumerate(self._instances):
                 if inst.is_source:
@@ -947,7 +883,7 @@ class ShardedExecutor:
                     due[i] = min(float(count), source_cap[i])
                 else:
                     due[i] = sum(ch.occupancy for ch in inst.in_channels)
-            budgets = self._slice_budgets(due, dt)
+            budgets = self._slice_budgets(due)
             self._run_slice(now_ms, budgets=budgets)
             released = sum(
                 inst.released_in_slice
@@ -958,10 +894,7 @@ class ShardedExecutor:
                     inst.released_in_slice = 0
             slice_end_s = (slice_index + 1) * dt
             samples.append((slice_end_s, float(released)))
-            if (
-                self.tracer is not None and self.tracer.enabled
-                and (slice_index % cfg.metrics_every_slices == 0)
-            ):
+            if self.tracer is not None and self.tracer.enabled:
                 throughput = released / dt
                 self.tracer.counter(
                     "sim", f"runtime.job.{self.job_id}", slice_end_s,
@@ -1059,10 +992,9 @@ class ShardedExecutor:
     def _emit_slice_trace(self, slices: int) -> None:
         if self.tracer is None or not self.tracer.enabled:
             return
-        dt = self.config.slice_ms / 1000.0
         for inst in self._instances:
             self.tracer.span(
-                "sim", "runtime.shard", 0.0, slices * dt, cat="runtime",
+                "sim", "runtime.shard", 0.0, slices * _SLICE_S, cat="runtime",
                 args={
                     "task": inst.uid,
                     "records": inst.released if inst.is_source else inst.processed,
@@ -1145,18 +1077,3 @@ class ShardedExecutor:
             help="High-water channel occupancy across the run.",
         ).set(float(peak))
 
-
-def run_sharded(
-    template: PipelineTemplate,
-    physical=None,
-    plan=None,
-    cluster=None,
-    duration_s: Optional[float] = None,
-    warmup_s: float = 0.0,
-    **kwargs: Any,
-) -> ShardedResult:
-    """One-shot convenience wrapper around :class:`ShardedExecutor`."""
-    executor = ShardedExecutor(
-        template, physical=physical, plan=plan, cluster=cluster, **kwargs
-    )
-    return executor.run(duration_s=duration_s, warmup_s=warmup_s)

@@ -22,11 +22,16 @@ We model this with two orthogonal mechanisms:
    and heavy writers beyond the first on disk (RocksDB compaction
    interference). This is what makes co-location strictly worse than
    balance even at equal total demand, the effect Figure 3 measures.
+
+:func:`share_resources` applies both to one tick of demand. The fluid
+engine and the record runtime's paced budgets both call it, and the
+diagnosis collector reads the :class:`Grants` it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +130,126 @@ def thread_oversubscription_penalty(
         raise ValueError("core counts must be positive")
     excess = np.maximum(0.0, np.asarray(active_threads, dtype=float) - cores)
     return 1.0 + coeff * excess / cores
+
+
+def thread_cap(service_floor: np.ndarray, dt: float) -> np.ndarray:
+    """Records one thread processes in a tick at ``service_floor`` s/record.
+
+    The divisor is at least 1e-300, so nothing divides by zero; tasks
+    with no per-record cost are uncapped.
+    """
+    return np.where(
+        service_floor > 0, dt / np.maximum(service_floor, 1e-300), np.inf
+    )
+
+
+class Grants(NamedTuple):
+    """One tick's resource sharing, as :func:`share_resources` returns it.
+
+    Per task: ``want``, the offer the grants were computed for; its
+    ``cpu_demand`` (cores) and ``io_demand`` (bytes/s); the worker
+    grants gathered per task (``cpu_scale_w``, ``io_scale_w``,
+    ``net_scale_w``); and ``scale``, the worst grant among the resources
+    the task uses. Per worker: ``cpu_effective`` and ``disk_effective``,
+    the capacities left after the concurrency penalties; the grant
+    fractions ``cpu_scale``, ``io_scale`` and ``net_scale``; and
+    ``io_extra``, the disk demand beyond the tasks' (``None`` if none).
+    """
+
+    want: np.ndarray
+    cpu_demand: np.ndarray
+    io_demand: np.ndarray
+    io_extra: Optional[np.ndarray]
+    cpu_effective: np.ndarray
+    disk_effective: np.ndarray
+    cpu_scale: np.ndarray
+    io_scale: np.ndarray
+    net_scale: np.ndarray
+    cpu_scale_w: np.ndarray
+    io_scale_w: np.ndarray
+    net_scale_w: np.ndarray
+    scale: np.ndarray
+
+
+def share_resources(
+    want: np.ndarray,
+    cpu: np.ndarray,
+    io: np.ndarray,
+    net_by_worker: np.ndarray,
+    worker: np.ndarray,
+    uses: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    cpu_capacity: np.ndarray,
+    disk,
+    nic,
+    config: ContentionConfig,
+    dt: float,
+    io_extra: Optional[np.ndarray] = None,
+) -> Grants:
+    """Share every worker's CPU, disk and NIC among its tasks for one tick.
+
+    CPU capacity is divided by the thread-oversubscription penalty, disk
+    capacity by the compaction interference of its heavy writers, and
+    each resource is then shared proportionally; the NIC has no penalty.
+
+    Args:
+        want: Per-task records offered this tick, already capped by
+            :func:`thread_cap`.
+        cpu: Per-task CPU seconds per record.
+        io: Per-task disk bytes per record.
+        net_by_worker: Per-worker outbound cross-worker bytes/s. Each
+            caller sums it itself (the fluid engine per channel, the
+            record runtime per task), and the two orders round
+            differently.
+        worker: Per-task worker index.
+        uses: Per-task masks of the resources a task uses, as
+            ``(cpu, io, net)``.
+        cpu_capacity: Per-worker cores.
+        disk: The workers' :class:`~repro.simulator.state_backend.DiskModel`.
+        nic: The workers' :class:`~repro.simulator.network.NicModel`.
+        config: Penalty coefficients.
+        dt: Tick length in seconds.
+        io_extra: Optional per-worker disk demand in bytes/s beyond the
+            tasks' own: the checkpoint upload. It competes for bandwidth
+            and is granted the worker's fraction, but as a sequential
+            background write, not a compaction-triggering state backend,
+            it never counts as a heavy writer.
+    """
+    n = len(cpu_capacity)
+    cpu_demand = want * cpu / dt
+    cpu_by_worker = np.bincount(worker, weights=cpu_demand, minlength=n)
+    active = cpu_demand > config.cpu_active_share
+    active_threads = np.bincount(worker[active], minlength=n)
+    cpu_penalty = thread_oversubscription_penalty(
+        active_threads, cpu_capacity, config.cpu_thread_penalty
+    )
+    cpu_effective = cpu_capacity / cpu_penalty
+    cpu_scale = proportional_scale(cpu_by_worker, cpu_effective)
+
+    io_demand = want * io / dt
+    disk_demand = np.bincount(worker, weights=io_demand, minlength=n)
+    if io_extra is not None:
+        disk_demand = disk_demand + io_extra
+    disk_effective = disk.effective_capacity(
+        disk.heavy_writer_counts(io_demand, worker)
+    )
+    io_scale = proportional_scale(disk_demand, disk_effective)
+
+    net_scale = nic.scale(net_by_worker)
+
+    # Every grant lies in (0, 1], so the first mask needs no ``minimum``
+    # against ones.
+    cpu_scale_w = cpu_scale[worker]
+    io_scale_w = io_scale[worker]
+    net_scale_w = net_scale[worker]
+    uses_cpu, uses_io, uses_net = uses
+    scale = np.where(uses_cpu, cpu_scale_w, 1.0)
+    scale = np.minimum(scale, np.where(uses_io, io_scale_w, 1.0))
+    scale = np.minimum(scale, np.where(uses_net, net_scale_w, 1.0))
+    return Grants(
+        want, cpu_demand, io_demand, io_extra, cpu_effective, disk_effective,
+        cpu_scale, io_scale, net_scale, cpu_scale_w, io_scale_w, net_scale_w,
+        scale,
+    )
 
 
 def effective_throughput(

@@ -12,9 +12,10 @@ Per tick the engine resolves, in order:
    backlog (or target generation for sources), capped by its single
    processing thread (one slot = one thread = at most one core).
 2. **Resource contention**: per-worker CPU, disk, and NIC grant
-   fractions via proportional fair sharing with convex penalties; a
-   task's processing is scaled by the worst grant among the resources
-   it uses.
+   fractions via proportional fair sharing with convex penalties
+   (:func:`~repro.simulator.contention.share_resources`, which the
+   record runtime's paced budgets call too); a task's processing is
+   scaled by the worst grant among the resources it uses.
 3. **Backpressure**: bounded downstream buffers throttle emitters
    (credit-style head-of-line blocking: a task processes only what its
    most congested downstream channel can absorb), and the shortfall of
@@ -51,9 +52,10 @@ from repro.simulator.backpressure import (
 )
 from repro.simulator.contention import (
     ContentionConfig,
+    Grants,
     degraded_capacity,
-    proportional_scale,
-    thread_oversubscription_penalty,
+    share_resources,
+    thread_cap,
 )
 from repro.faults.checkpoint import CheckpointConfig
 from repro.observability import MetricRegistry, Tracer
@@ -146,17 +148,6 @@ class SimulationConfig:
 SourceRates = Mapping[Union[str, Tuple[str, str]], Union[float, RatePattern]]
 
 
-def _thread_cap(service_floor: np.ndarray, dt: float) -> np.ndarray:
-    """Records one thread processes in a tick at ``service_floor`` s/record.
-
-    The divisor is at least 1e-300, so nothing divides by zero; tasks
-    with no per-record cost are uncapped.
-    """
-    return np.where(
-        service_floor > 0, dt / np.maximum(service_floor, 1e-300), np.inf
-    )
-
-
 class _CapacityEpoch:
     """Tick inputs that change only when a worker's capacity does.
 
@@ -192,7 +183,7 @@ class _CapacityEpoch:
         self.alive_w = None if alive.all() else alive[worker]
         self.thread_cap = None
         if not engine._any_gc_spike:
-            self.thread_cap = _thread_cap(
+            self.thread_cap = thread_cap(
                 (engine.cpu + self.io_floor) + self.net_floor, engine.config.dt
             )
 
@@ -359,7 +350,7 @@ class FluidSimulation:
             dtype=float,
         )
         self.disk = DiskModel(disk_capacity, config.contention)
-        self.nic = NicModel(net_capacity, config.contention)
+        self.nic = NicModel(net_capacity)
         # Pristine capacity baselines for fault-driven degradation;
         # apply_worker_factors always rescales from these, so a later
         # recovery restores the exact original capacities.
@@ -434,13 +425,12 @@ class FluidSimulation:
             np.add.at(cross_bytes, self.c_src[self.c_cross], per_channel[self.c_cross])
         self.cross_bytes_per_record = cross_bytes
 
-        # Static per-task masks and cross-worker channel gathers, read
-        # every tick. A task's effective CPU cost is ``cpu`` scaled by
-        # a GC factor >= 1, so ``cpu > 0`` is also the mask of tasks
-        # using CPU while a spike is active; only Q3-inf has spikes.
-        self._uses_cpu = self.cpu > 0
-        self._uses_io = self.io > 0
-        self._uses_net = cross_bytes > 0
+        # Static per-task masks of the resources each task uses (cpu,
+        # io, net) and cross-worker channel gathers, read every tick. A
+        # task's effective CPU cost is ``cpu`` scaled by a GC factor
+        # >= 1, so ``cpu > 0`` is also the mask of tasks using CPU while
+        # a spike is active; only Q3-inf has spikes.
+        self._uses = (self.cpu > 0, self.io > 0, cross_bytes > 0)
         self._gc_spiky = self.gc_period > 0
         self._any_gc_spike = bool(self._gc_spiky.any())
         self._cross_src = self.c_src[self.c_cross]
@@ -683,51 +673,26 @@ class FluidSimulation:
             epoch = self._capacity_epoch = _CapacityEpoch(self)
         if self._any_gc_spike:
             cpu_eff = self.cpu * self._gc_factor(self.time_s)
-            thread_cap = _thread_cap(
-                (cpu_eff + epoch.io_floor) + epoch.net_floor, dt
-            )
+            cap = thread_cap((cpu_eff + epoch.io_floor) + epoch.net_floor, dt)
         else:
             cpu_eff = self.cpu
-            thread_cap = epoch.thread_cap
+            cap = epoch.thread_cap
         want = np.where(self.is_source, target * dt, self.queue)
-        want = np.minimum(want, thread_cap)
+        want = np.minimum(want, cap)
         if epoch.alive_w is not None:
             # Tasks on dead workers process nothing; their sources still
             # contribute to the target, so the shortfall surfaces as
             # backpressure until the controller replans.
             want = want * epoch.alive_w
 
-        # 2. Resource contention.
-        cpu_demand = want * cpu_eff / dt
-        cpu_by_worker = np.bincount(
-            self.worker, weights=cpu_demand, minlength=self._worker_count
-        )
-        active = cpu_demand > cfg.contention.cpu_active_share
-        active_threads = np.bincount(
-            self.worker[active], minlength=self._worker_count
-        )
-        cpu_penalty = thread_oversubscription_penalty(
-            active_threads, self.cpu_capacity, cfg.contention.cpu_thread_penalty
-        )
-        cpu_effective = self.cpu_capacity / cpu_penalty
-        cpu_scale = proportional_scale(cpu_by_worker, cpu_effective)
-        io_demand = want * self.io / dt
+        # 2. Resource contention. The checkpoint upload competes for
+        # the disk; NIC demand counts cross-worker channels only.
         ckpt_io = None
         if self._checkpoint is not None and (self._ckpt_upload > 0).any():
             ckpt_io = np.minimum(
                 self._ckpt_upload / dt,
                 self._checkpoint.write_bandwidth_share * self.disk.capacity,
             )
-        io_scale = self.disk.scale(
-            io_demand, self.worker, self._worker_count, extra_demand=ckpt_io
-        )
-        if ckpt_io is not None:
-            # The upload stream is granted the same per-worker fraction
-            # as foreground I/O; drain the backlog by what was written.
-            self._ckpt_upload = np.maximum(
-                0.0, self._ckpt_upload - ckpt_io * io_scale * dt
-            )
-
         out_recs_want = want * self.sel
         net_by_worker = np.bincount(
             self._cross_worker,
@@ -736,18 +701,18 @@ class FluidSimulation:
             ),
             minlength=self._worker_count,
         )
-        net_scale = self.nic.scale(net_by_worker)
-
-        # Every grant lies in (0, 1], so the first mask needs no
-        # ``minimum`` against ones.
-        w = self.worker
-        cpu_scale_w = cpu_scale[w]
-        io_scale_w = io_scale[w]
-        net_scale_w = net_scale[w]
-        scale = np.where(self._uses_cpu, cpu_scale_w, 1.0)
-        scale = np.minimum(scale, np.where(self._uses_io, io_scale_w, 1.0))
-        scale = np.minimum(scale, np.where(self._uses_net, net_scale_w, 1.0))
-        proc = want * scale
+        grants = share_resources(
+            want, cpu_eff, self.io, net_by_worker, self.worker, self._uses,
+            self.cpu_capacity, self.disk, self.nic, cfg.contention, dt,
+            io_extra=ckpt_io,
+        )
+        if ckpt_io is not None:
+            # The upload stream is granted the same per-worker fraction
+            # as foreground I/O; drain the backlog by what was written.
+            self._ckpt_upload = np.maximum(
+                0.0, self._ckpt_upload - ckpt_io * grants.io_scale * dt
+            )
+        proc = want * grants.scale
 
         # 3. Backpressure via bounded downstream buffers. The drain
         # credit is last tick's *actual* processing: using this tick's
@@ -784,32 +749,12 @@ class FluidSimulation:
         # bit-identical floats.
         tick_end_s = (self._tick_index + 1) * dt
         self._record_metrics(
-            epoch,
-            target,
-            proc_final,
-            out_recs_final,
-            cpu_eff,
-            cpu_scale_w,
-            io_scale_w,
-            net_scale_w,
-            dt,
+            epoch, target, proc_final, out_recs_final, cpu_eff, grants, dt,
             tick_end_s,
         )
         if self.diagnosis is not None:
             self.diagnosis.observe_tick(
-                want,
-                target,
-                cpu_demand,
-                cpu_scale,
-                cpu_effective,
-                io_demand,
-                io_scale,
-                ckpt_io,
-                net_scale,
-                throttles,
-                proc_final,
-                dt,
-                self.time_s,
+                grants, target, throttles, proc_final, dt, self.time_s
             )
         self._tick_index += 1
         self.time_s = self._tick_index * dt
@@ -823,19 +768,17 @@ class FluidSimulation:
         proc_final: np.ndarray,
         out_recs_final: np.ndarray,
         cpu_eff: np.ndarray,
-        cpu_scale_w: np.ndarray,
-        io_scale_w: np.ndarray,
-        net_scale_w: np.ndarray,
+        grants: Grants,
         dt: float,
         tick_end_s: float,
     ) -> None:
         w = self.worker
-        service_time = cpu_eff / np.maximum(cpu_scale_w, 1e-12)
+        service_time = cpu_eff / np.maximum(grants.cpu_scale_w, 1e-12)
         service_time = service_time + self.io / np.maximum(
-            epoch.disk_w * io_scale_w, 1e-12
+            epoch.disk_w * grants.io_scale_w, 1e-12
         )
         service_time = service_time + self.cross_bytes_per_record / np.maximum(
-            epoch.nic_w * net_scale_w, 1e-12
+            epoch.nic_w * grants.net_scale_w, 1e-12
         )
         # The divisor is at least 1e-12, so nothing divides by zero.
         true_rate = np.where(

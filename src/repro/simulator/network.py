@@ -13,26 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulator.contention import ContentionConfig, proportional_scale
+from repro.simulator.contention import proportional_scale
 
 
 class NicModel:
     """Per-worker outbound network contention model."""
 
-    def __init__(self, capacity: np.ndarray, config: ContentionConfig) -> None:
+    def __init__(self, capacity: np.ndarray) -> None:
         self.capacity = np.asarray(capacity, dtype=float)
         if np.any(self.capacity <= 0):
             raise ValueError("NIC capacities must be positive")
-        self.config = config
 
     @classmethod
-    def capped(
-        cls, worker_count: int, bandwidth_bytes_per_s: float, config: ContentionConfig
-    ) -> "NicModel":
+    def capped(cls, worker_count: int, bandwidth_bytes_per_s: float) -> "NicModel":
         """A homogeneous NIC model with every worker capped at one rate."""
-        return cls(
-            np.full(worker_count, float(bandwidth_bytes_per_s)), config
-        )
+        return cls(np.full(worker_count, float(bandwidth_bytes_per_s)))
 
     def scale(self, outbound_demand: np.ndarray) -> np.ndarray:
         """Per-worker grant fractions for outbound traffic (bytes/s).

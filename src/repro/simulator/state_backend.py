@@ -3,7 +3,7 @@
 Each worker has one local disk shared by the state backends of all
 co-located stateful tasks. Two effects are modelled:
 
-1. **Bandwidth sharing** with a convex oversubscription penalty
+1. **Bandwidth sharing**
    (:func:`repro.simulator.contention.proportional_scale`).
 2. **Compaction interference**: RocksDB's background compactions steal
    foreground bandwidth, and interference grows with the number of
@@ -11,15 +11,16 @@ co-located stateful tasks. Two effects are modelled:
    ``gamma_compaction`` per heavy writer beyond the first. This is the
    mechanism behind paper Figure 3b, where piling tumbling-join tasks
    onto one worker cuts throughput from ~110k to ~91k records/s.
+
+:func:`repro.simulator.contention.share_resources` applies both once per
+tick, with the checkpoint upload as extra demand.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.simulator.contention import ContentionConfig, proportional_scale
+from repro.simulator.contention import ContentionConfig
 
 
 class DiskModel:
@@ -56,35 +57,3 @@ class DiskModel:
             0.0, heavy_writers - 1.0
         )
         return self.capacity / interference
-
-    def scale(
-        self,
-        task_demand: np.ndarray,
-        task_worker: np.ndarray,
-        worker_count: Optional[int] = None,
-        extra_demand: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Per-worker I/O grant fractions for the current tick.
-
-        Args:
-            task_demand: Per-task disk demand in bytes/s.
-            task_worker: Per-task worker index.
-            extra_demand: Optional additional per-*worker* demand in
-                bytes/s sharing the disk this tick — the checkpoint
-                upload stream. It competes for bandwidth like any other
-                demander but does not count as a heavy writer: the
-                upload is a sequential background write, not a
-                compaction-triggering random-write state backend.
-
-        Returns:
-            Per-worker scale array; index with ``task_worker`` to get
-            per-task grant fractions (the extra demand is granted the
-            same per-worker fraction).
-        """
-        n = worker_count if worker_count is not None else len(self.capacity)
-        demand = np.bincount(task_worker, weights=task_demand, minlength=n)
-        if extra_demand is not None:
-            demand = demand + extra_demand
-        heavy = self.heavy_writer_counts(task_demand, task_worker)
-        capacity = self.effective_capacity(heavy)
-        return proportional_scale(demand, capacity)

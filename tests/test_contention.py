@@ -7,8 +7,12 @@ from repro.simulator.contention import (
     ContentionConfig,
     effective_throughput,
     proportional_scale,
+    share_resources,
+    thread_cap,
     thread_oversubscription_penalty,
 )
+from repro.simulator.network import NicModel
+from repro.simulator.state_backend import DiskModel
 
 
 class TestProportionalScale:
@@ -59,6 +63,52 @@ class TestThreadPenalty:
     def test_rejects_nonpositive_cores(self):
         with pytest.raises(ValueError):
             thread_oversubscription_penalty(np.array([1.0]), np.array([0.0]), 0.5)
+
+
+class TestShareResources:
+    """One tick of sharing: two tasks on worker 0, worker 1 idle."""
+
+    def _grants(self, want, cpu, io, io_extra=None, net=(0.0, 0.0)):
+        worker = np.array([0, 0])
+        cpu, io = np.array(cpu), np.array(io)
+        return share_resources(
+            np.array(want), cpu, io, np.array(net), worker,
+            (cpu > 0, io > 0, np.array([True, False])),
+            np.array([1.0, 1.0]),
+            DiskModel(np.array([100.0, 100.0]), ContentionConfig()),
+            NicModel(np.array([50.0, 50.0])),
+            ContentionConfig(), 1.0, io_extra=io_extra,
+        )
+
+    def test_thread_cap_is_one_thread_per_tick(self):
+        cap = thread_cap(np.array([0.5, 0.0]), 2.0)
+        assert cap.tolist() == [4.0, np.inf]
+
+    def test_uncontended_tick_grants_everything(self):
+        grants = self._grants([1.0, 1.0], [0.2, 0.3], [10.0, 20.0])
+        assert grants.scale.tolist() == [1.0, 1.0]
+        assert grants.cpu_demand.tolist() == [0.2, 0.3]
+        assert grants.io_demand.tolist() == [10.0, 20.0]
+
+    def test_task_takes_the_worst_grant_it_uses(self):
+        # 1.6 cores of demand from two active threads on one core: the
+        # penalty 1 + 0.35 * (2 - 1) / 1 shrinks the core to 1 / 1.35.
+        # The NIC carries 200 of 50 bytes/s; only task 0 uses it.
+        grants = self._grants([2.0, 2.0], [0.5, 0.3], [0.0, 0.0], net=(200.0, 0.0))
+        assert grants.cpu_effective[0] == pytest.approx(1.0 / 1.35)
+        assert grants.cpu_scale[0] == pytest.approx((1.0 / 1.35) / 1.6)
+        assert grants.net_scale[0] == 0.25
+        assert grants.scale.tolist() == [0.25, grants.cpu_scale[0]]
+
+    def test_checkpoint_upload_shares_the_disk_but_is_no_heavy_writer(self):
+        # Task 0 writes 30 bytes/s; the upload adds 90. One heavy writer,
+        # so the disk keeps its full 100 bytes/s for 120 of demand.
+        grants = self._grants(
+            [30.0, 0.0], [0.0, 0.0], [1.0, 0.0], io_extra=np.array([90.0, 0.0])
+        )
+        assert grants.disk_effective.tolist() == [100.0, 100.0]
+        assert grants.io_scale[0] == pytest.approx(100.0 / 120.0)
+        assert grants.io_extra.tolist() == [90.0, 0.0]
 
 
 class TestConfig:

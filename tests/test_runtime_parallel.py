@@ -13,8 +13,6 @@ from repro.runtime.operators import MapOperator
 from repro.runtime.parallel import (
     PipelineTemplate,
     ShardedExecutor,
-    ShardedRuntimeConfig,
-    run_sharded,
     stable_hash,
 )
 from repro.runtime.queries import (
@@ -156,11 +154,6 @@ class TestDegenerateModeBitwiseParity:
         for op, stats in got.state_stats.items():
             assert stats == expected.state_stats.get(op, StateStats())
 
-    def test_run_sharded_wrapper(self, events):
-        got = run_sharded(hot_items_template(events["bids"]))
-        expected = hot_items_template(events["bids"]).build_pipeline().run()
-        assert _keyed(got) == _keyed(expected)
-
 
 class TestShardedSemanticEquivalence:
     """parallelism>1: outputs are a permutation of the single-threaded
@@ -203,9 +196,9 @@ class TestBackpressure:
     def test_tight_credits_block_producers_but_keep_outputs(self, events):
         bids = events["bids"][:2000]
         physical = PhysicalGraph.expand(q1_sliding(1, 2, 2))
-        config = ShardedRuntimeConfig(channel_capacity_records=4)
         got = ShardedExecutor(
-            hot_items_template(bids), physical=physical, config=config
+            hot_items_template(bids), physical=physical,
+            channel_capacity_records=4,
         ).run()
         expected = hot_items_template(bids).build_pipeline().run()
         assert _multiset(got) == _multiset(expected)

@@ -3,12 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.simulator.contention import ContentionConfig
+from repro.simulator.contention import ContentionConfig, share_resources
+from repro.simulator.network import NicModel
 from repro.simulator.state_backend import DiskModel
 
 
 def model(capacity=(1e8, 1e8), **cfg):
     return DiskModel(np.array(capacity), ContentionConfig(**cfg))
+
+
+def disk_scale(disk, io_demand, worker):
+    """Per-worker disk grants of a tick whose only demand is ``io_demand``.
+
+    One record per task at one byte per unit of demand and ``dt = 1``,
+    so the tasks' disk demand is ``io_demand`` exactly.
+    """
+    n = len(disk.capacity)
+    zeros = np.zeros(len(io_demand))
+    return share_resources(
+        io_demand, zeros, np.ones(len(io_demand)), np.zeros(n), worker,
+        (zeros > 0, io_demand > 0, zeros > 0), np.ones(n), disk,
+        NicModel(np.ones(n)), disk.config, 1.0,
+    ).io_scale
 
 
 class TestHeavyWriters:
@@ -42,7 +58,7 @@ class TestCompactionInterference:
         # effective capacity 1e8 / 1.1
         demand = np.array([6e7, 6e7])
         worker = np.array([0, 0])
-        scale = disk.scale(demand, worker, worker_count=2)
+        scale = disk_scale(disk, demand, worker)
         assert scale[0] == pytest.approx((1e8 / 1.1) / 1.2e8)
         assert scale[1] == 1.0  # idle worker
 
@@ -51,8 +67,8 @@ class TestCompactionInterference:
         work when co-located."""
         disk = model(gamma_compaction=0.1)
         demand = np.array([6e7, 6e7])
-        colocated = disk.scale(demand, np.array([0, 0]), worker_count=2)
-        spread = disk.scale(demand, np.array([0, 1]), worker_count=2)
+        colocated = disk_scale(disk, demand, np.array([0, 0]))
+        spread = disk_scale(disk, demand, np.array([0, 1]))
         done_colocated = float(np.sum(demand * colocated[np.array([0, 0])]))
         done_spread = float(np.sum(demand * spread[np.array([0, 1])]))
         assert done_spread > done_colocated
