@@ -87,9 +87,6 @@ class ClusterHealth:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def is_alive(self, worker_id: int) -> bool:
-        return self._alive[worker_id]
-
     @property
     def failed_workers(self) -> Tuple[int, ...]:
         return tuple(
