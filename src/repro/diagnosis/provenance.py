@@ -54,9 +54,7 @@ class BottleneckTracker:
         self._n = n
         self._worker = engine.worker
         self._c_dst = engine.c_dst
-        self._uses_cpu = engine.cpu > 0.0
-        self._uses_io = engine.io > 0.0
-        self._uses_net = engine.cross_bytes_per_record > 0.0
+        self._uses_cpu, self._uses_io, self._uses_net = engine._uses
         self._cpu = engine.cpu
         self._io = engine.io
         self._cross_bpr = engine.cross_bytes_per_record
