@@ -1,6 +1,7 @@
 """Diagnosis-layer overhead benchmark: attribution must stay cheap.
 
-Times the fluid engine with and without the root-cause diagnosis layer
+Times the fluid engine's tick-by-tick reference (``fast_forward=False``)
+with and without the root-cause diagnosis layer
 (``engine.enable_diagnosis()`` — contention attribution + backpressure
 provenance, DESIGN.md section 10) on two workloads:
 
@@ -66,8 +67,11 @@ def _deployment(preset_name: str, rate: float):
 
 
 def _one_run(physical, cluster, plan, rates, duration_s, diagnose, chaos):
+    # The bound is on the observer's per-tick cost: leaps would skip
+    # most of the ticks it observes.
     sim = FluidSimulation(
-        physical, cluster, plan, rates, config=SimulationConfig()
+        physical, cluster, plan, rates,
+        config=SimulationConfig(fast_forward=False),
     )
     if chaos is not None:
         sim.set_fault_driver(EngineFaultDriver(chaos, cluster))

@@ -25,7 +25,8 @@ and placement. This module holds the hardening policy threaded through
 
 Everything here is deterministic — pure functions of the observed
 sample sequence — so guarded runs stay byte-identical in the sim-domain
-trace, with or without ``--fast-forward``.
+trace, and their control-plane records are the same with fast-forward
+on (the default) or off.
 """
 
 from __future__ import annotations

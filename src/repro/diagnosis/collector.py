@@ -12,9 +12,9 @@ engine retires, which emits the aggregated ``contention.blame``,
 tracer's sim domain.
 
 Aggregated flush-time emission (rather than per-tick events) is what
-keeps traced runs byte-identical with ``fast_forward`` on and off: the
-accumulators advance by repeated addition during leaps, and nothing is
-emitted from inside the tick loop.
+keeps the diagnosis records byte-identical with ``fast_forward`` on and
+off: the accumulators advance by repeated addition during leaps, and
+nothing is emitted from inside the tick loop.
 """
 
 from __future__ import annotations

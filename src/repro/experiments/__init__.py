@@ -18,7 +18,6 @@ from repro.experiments.runner import (
     make_odrp_cluster,
     simulate_plan,
     strategy_box_runs,
-    with_fast_forward,
 )
 from repro.experiments.reporting import BoxStats, box_stats, format_table
 
@@ -31,7 +30,6 @@ __all__ = [
     "make_odrp_cluster",
     "simulate_plan",
     "strategy_box_runs",
-    "with_fast_forward",
     "BoxStats",
     "box_stats",
     "format_table",

@@ -82,20 +82,6 @@ def source_rate_map(
     return {(graph.job_id, op): rate for op in graph.sources()}
 
 
-def with_fast_forward(
-    config: Optional[SimulationConfig], fast_forward: bool
-) -> Optional[SimulationConfig]:
-    """Overlay the fast-forward opt-in onto an engine config.
-
-    ``False`` leaves the config untouched (including an explicit
-    ``fast_forward=True`` the caller already set); results are identical
-    either way by the engine's equivalence contract.
-    """
-    if not fast_forward:
-        return config
-    return dataclasses.replace(config or SimulationConfig(), fast_forward=True)
-
-
 def simulate_plan(
     graph: LogicalGraph,
     cluster: Cluster,
@@ -113,9 +99,16 @@ def simulate_plan(
 
     Identical inputs are served from the plan-evaluation cache (the
     simulator is deterministic, so warm results are byte-identical);
-    pass ``cache=None`` to force a fresh simulation. ``fast_forward``
-    enables steady-state leaps (same results, less wall-clock).
+    pass ``cache=None`` to force a fresh simulation. The engine leaps
+    over converged ticks unless ``config`` sets ``fast_forward=False``
+    (the tick-by-tick reference); ``fast_forward=True`` turns leaping
+    back on over such a config, and ``False`` leaves ``config`` as
+    given. Results are identical either way.
     """
+    if fast_forward:
+        config = dataclasses.replace(
+            config or SimulationConfig(), fast_forward=True
+        )
     physical = PhysicalGraph.expand(graph)
     summary = simulate_cached(
         physical,
@@ -124,7 +117,7 @@ def simulate_plan(
         source_rate_map(graph, rate),
         duration_s,
         warmup_s,
-        config=with_fast_forward(config, fast_forward),
+        config=config,
         network_cap_bytes_per_s=network_cap_bytes_per_s,
         cache=cache,
         tracer=tracer,
@@ -142,7 +135,6 @@ def simulate_multi_job(
     config: Optional[SimulationConfig] = None,
     cache: CacheOption = "default",
     tracer: Optional[Tracer] = None,
-    fast_forward: bool = False,
 ) -> Dict[str, JobSummary]:
     """Simulate a merged multi-job deployment; summaries per job.
 
@@ -150,8 +142,7 @@ def simulate_multi_job(
     """
     summary = simulate_cached(
         physical, cluster, plan, rates, duration_s, warmup_s,
-        config=with_fast_forward(config, fast_forward),
-        cache=cache, tracer=tracer,
+        config=config, cache=cache, tracer=tracer,
     )
     return summary.jobs
 
@@ -168,7 +159,6 @@ def strategy_box_runs(
     base_seed: int = 0,
     cache: CacheOption = "default",
     tracer: Optional[Tracer] = None,
-    fast_forward: bool = False,
 ) -> List[ExperimentRun]:
     """Repeat place-and-simulate ``runs`` times with varied seeds.
 
@@ -197,7 +187,6 @@ def strategy_box_runs(
             config=config,
             cache=cache,
             tracer=tracer,
-            fast_forward=fast_forward,
         )
         results.append(ExperimentRun(plan=plan, summaries={summary.job_id: summary}))
     return results

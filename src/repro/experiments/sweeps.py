@@ -53,7 +53,6 @@ def sweep_colocation_penalty(
     duration_s: float = 300.0,
     warmup_s: float = 120.0,
     network_cap_bytes_per_s: Optional[float] = None,
-    fast_forward: bool = False,
 ) -> List[SweepPoint]:
     """Measure the co-location penalty across contention calibrations.
 
@@ -70,7 +69,7 @@ def sweep_colocation_penalty(
     """
     points: List[SweepPoint] = []
     for label, contention in configs:
-        sim_config = SimulationConfig(contention=contention, fast_forward=fast_forward)
+        sim_config = SimulationConfig(contention=contention)
         balanced = simulate_plan(
             graph, cluster, balanced_plan, rate,
             duration_s=duration_s, warmup_s=warmup_s,

@@ -13,8 +13,8 @@ through the controller's own bad (or well-guarded) reactions.
 
 Like the data-plane grammar, schedules are explicit ordered event lists
 with no hidden randomness: identical schedules against identical seeds
-must reproduce byte-identical sim-domain traces, with or without
-``--fast-forward``.
+must reproduce byte-identical sim-domain traces, and the same
+control-plane records with fast-forward on (the default) or off.
 
 The tokens are the data plane's (:class:`~repro.faults.schedule.Schedule`)
 with an ``op<name>`` target or none, wired through ``--control-chaos``::

@@ -94,15 +94,16 @@ class SimulationConfig:
             applied to *reported* task rates (never to the dynamics);
             0 disables noise entirely.
         seed: Seed for the measurement-noise generator.
-        fast_forward: Opt into steady-state fast-forward: once two
-            consecutive ticks produce bit-identical state the engine
-            leaps to the next event horizon instead of re-executing
-            converged ticks (see DESIGN.md §9). Results are exactly
-            equal to tick-by-tick execution by contract — the flag is
-            an execution strategy, not a simulation input, and is
-            therefore excluded from the plan-cache fingerprint.
-            Auto-disabled when ``noise_std > 0`` (noise draws from the
-            RNG every tick, so skipping ticks would change the stream).
+        fast_forward: Steady-state fast-forward, on by default: once
+            two consecutive ticks produce bit-identical state the
+            engine leaps to the next event horizon instead of
+            re-executing converged ticks (see DESIGN.md §9). ``False``
+            runs the tick-by-tick reference. Results are exactly equal
+            either way by contract — the flag is an execution strategy,
+            not a simulation input, and is therefore excluded from the
+            plan-cache fingerprint. Ignored when ``noise_std > 0``
+            (noise draws from the RNG every tick, so skipping ticks
+            would change the stream).
     """
 
     dt: float = 1.0
@@ -118,7 +119,7 @@ class SimulationConfig:
     metrics_window_ticks: int = 60
     noise_std: float = 0.0
     seed: int = 0
-    fast_forward: bool = False
+    fast_forward: bool = True
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -249,7 +250,7 @@ class FluidSimulation:
         self._build_arrays(network_cap_bytes_per_s)
 
         # Fast-forward bookkeeping (DESIGN.md §9). Leaping is attempted
-        # only when the config opts in and the dynamics are noise-free.
+        # only when the config allows it and the dynamics are noise-free.
         self._ff_enabled = bool(self.config.fast_forward) and self.config.noise_std == 0
         self._ff_converged = False
         self._ff_prev_queue: Optional[np.ndarray] = None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _controller_config, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +29,18 @@ class TestParser:
     def test_invalid_strategy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["place", "Q1", "--strategy", "bogus"])
+
+    @pytest.mark.parametrize("command", ["place", "compare", "autoscale", "explore"])
+    @pytest.mark.parametrize(
+        "flag, expected",
+        [(None, True), ("--fast-forward", True), ("--no-fast-forward", False)],
+    )
+    def test_fast_forward_is_on_unless_the_reference_is_asked_for(
+        self, command, flag, expected
+    ):
+        argv = [command, "Q1-sliding"] + ([flag] if flag else [])
+        args = build_parser().parse_args(argv)
+        assert _controller_config(args).sim.fast_forward is expected
 
     @pytest.mark.parametrize(
         "argv",

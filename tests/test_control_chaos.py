@@ -423,12 +423,14 @@ class TestControlChaosDeterminism:
         assert self.sim_trace(FAST) == self.sim_trace(FAST)
 
     def test_fast_forward_preserves_the_control_plane_trace(self):
-        ff = dataclasses.replace(
-            FAST, sim=SimulationConfig(fast_forward=True)
+        reference = dataclasses.replace(
+            FAST, sim=SimulationConfig(fast_forward=False)
         )
-        assert self.control_plane(self.sim_trace(FAST)) == self.control_plane(
-            self.sim_trace(ff)
-        )
+        fast = self.sim_trace(FAST)
+        assert any(r["name"] == "engine.leap" for r in fast)
+        assert self.control_plane(
+            self.sim_trace(reference)
+        ) == self.control_plane(fast)
 
 
 # ---------------------------------------------------------------------------

@@ -348,11 +348,13 @@ class TestFingerprintFieldCoverage:
     def test_fast_forward_does_not_move_the_key(self):
         physical, cluster = small_deployment()
         plan = plan_on_worker(physical, 0)
-        base = fingerprint(physical, cluster, plan)
-        fast = fingerprint(
-            physical, cluster, plan, config=SimulationConfig(fast_forward=True)
+        reference, fast = (
+            fingerprint(
+                physical, cluster, plan, config=SimulationConfig(fast_forward=ff)
+            )
+            for ff in (False, True)
         )
-        assert base == fast
+        assert reference == fast
 
 
 class TestCacheThreadSafety:
