@@ -10,9 +10,12 @@ three purposes:
    rate models (``repro.runtime.queries`` builds Q1/Q2/Q6 pipelines
    over Nexmark events and their outputs are verified against the
    reference semantics in :mod:`repro.workloads.nexmark`);
-2. the operator statistics it measures (selectivity, state growth,
-   state reads/writes per record) ground the unit-cost constants baked
-   into :mod:`repro.workloads.queries`;
+2. it measures operator statistics on real records (selectivity,
+   state growth, state reads/writes per record). Nothing reads them
+   back into the model: the unit-cost constants in
+   :mod:`repro.workloads.queries` are chosen (DESIGN.md §1), and the
+   paced executor is charged those same constants, so validation
+   checks queueing, credits and partitioning, not the constants;
 3. it demonstrates what the placement layer is placing: each pipeline
    stage corresponds to one logical operator of the placement problem.
 

@@ -8,8 +8,9 @@ maximum timestamp seen minus an allowed lateness — firing window
 triggers along the way. A final ``+inf`` watermark flushes all state.
 
 The result carries every operator's record counters and state-access
-statistics: the record-level ground truth behind the per-record unit
-costs the placement layer consumes.
+statistics, measured on real records. They are reported, not fed back:
+the per-record unit costs the placement layer consumes are chosen
+constants (DESIGN.md §1).
 """
 
 from __future__ import annotations

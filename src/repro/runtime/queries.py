@@ -16,8 +16,9 @@ executing the actual Nexmark semantics the paper's queries compute:
 instantiates it onto a placed physical graph.
 
 Their outputs are verified against the batch reference implementations
-in :mod:`repro.workloads.nexmark` (tests), and their measured operator
-statistics ground the unit-cost constants of the fluid model.
+in :mod:`repro.workloads.nexmark` (tests). Their measured operator
+statistics are reported only: the fluid model's unit costs are chosen
+constants (DESIGN.md §1), and the paced executor is charged those.
 """
 
 from __future__ import annotations
