@@ -197,31 +197,6 @@ def base_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-_FRESH_VALUE_TYPES = (
-    ast.Call,
-    ast.List,
-    ast.Dict,
-    ast.Set,
-    ast.Tuple,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-    ast.Constant,
-)
-
-
-def is_fresh_value(node: ast.AST) -> bool:
-    """Whether an expression constructs a new object (not an alias).
-
-    Used by the RACE rules to treat ``state = make_state(...)`` as a
-    function-local object whose attribute writes are private. Name
-    aliases and attribute reads are *not* fresh — they may refer to
-    shared state.
-    """
-    return isinstance(node, _FRESH_VALUE_TYPES)
-
-
 def iter_function_defs(
     tree: ast.Module,
 ) -> Iterator[Tuple[str, ast.AST]]:
