@@ -75,7 +75,7 @@ def run_sequential_and_pool(make_model, limits=None, jobs=3, **search_kwargs):
     )
 
 
-class TestThreeBackendEquivalence:
+class TestSequentialPoolEquivalence:
     @pytest.mark.parametrize("thresholds", [None, {"cpu": 0.5}])
     def test_q3_bit_exact(self, thresholds):
         seq, pool = run_sequential_and_pool(
