@@ -1,5 +1,8 @@
 """Unit tests for the experiment harness drivers."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
 from repro.dataflow.physical import PhysicalGraph
@@ -18,6 +21,7 @@ from repro.experiments.runner import (
     strategy_box_runs,
 )
 from repro.placement import FlinkEvenlyStrategy
+from repro.simulator.engine import SimulationConfig
 from repro.workloads import q1_sliding, q2_join
 from repro.workloads.rates import ConstantRate
 
@@ -67,6 +71,34 @@ class TestSimulatePlan:
         )
         assert summary.job_id == "Q1-sliding"
         assert summary.throughput > 0
+
+    def test_fast_forward_keyword_overlays_config(self, monkeypatch):
+        # True turns leaping on over any config; False hands the config
+        # to the engine as given.
+        from repro.experiments import runner
+
+        seen = []
+
+        def capture(*args, config=None, **kwargs):
+            seen.append(config)
+            return SimpleNamespace(only=None)
+
+        monkeypatch.setattr(runner, "simulate_cached", capture)
+        g = q1_sliding()
+        cluster = make_motivation_cluster()
+        plans, _ = enumerate_all_plans(g, cluster, 5000.0, max_plans=1)
+        base = SimulationConfig(dt=0.5, fast_forward=False)
+        for config, fast_forward in (
+            (None, False), (None, True), (base, True), (base, False)
+        ):
+            simulate_plan(
+                g, cluster, plans[0][1], 5000.0,
+                config=config, fast_forward=fast_forward,
+            )
+        assert seen[0] is None
+        assert seen[1] == SimulationConfig(fast_forward=True)
+        assert seen[2] == dataclasses.replace(base, fast_forward=True)
+        assert seen[3] is base
 
 
 class TestStrategyBoxRuns:
