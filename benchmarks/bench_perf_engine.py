@@ -13,8 +13,13 @@ b. **Chaos workload** — step rates plus a degrade/recover schedule and
    periodic checkpoints. Convergence windows are short and re-opened by
    every event, so the speedup is modest; the criterion here is purely
    byte-identical results (whatever the speedup turns out to be).
+c. **Cycling workload** — Q3-inf at half its isolation rate on the
+   isolation cluster for 600 simulated seconds. It never reaches a
+   fixed point: it settles into an exact orbit that follows its 30 s GC
+   spikes, so every leap covers whole periods of that orbit. The
+   criterion is byte-identical results.
 
-Both workloads also report ``reference_us_per_tick``, the per-tick
+Every workload also reports ``reference_us_per_tick``, the per-tick
 cost of the tick-by-tick loop: the median of ``REFERENCE_REPEATS``
 reference runs divided by the ticks each executes.
 
@@ -190,6 +195,42 @@ def bench_chaos(smoke: bool) -> dict:
     }
 
 
+def bench_cycle(smoke: bool) -> dict:
+    """(c) GC-spike orbit: leaps over whole periods of an exact cycle."""
+    duration = 150.0 if smoke else 600.0
+    warmup = 60.0 if smoke else 240.0
+    rate = query_by_name("Q3-inf").isolation_rate * 0.5
+    deployment = _deployment("Q3-inf", rate)
+
+    ref_s, ref_summary, ref_sim = _reference_runs(smoke, *deployment, duration, warmup)
+    ff_s, ff_summary, ff_sim = _timed_run(*deployment, duration, warmup, True)
+
+    assert repr(ref_summary) == repr(ff_summary), (
+        "fast-forward summary diverged from reference on the GC orbit"
+    )
+    speedup = ref_s / ff_s if ff_s > 0 else None
+    print(
+        f"  {duration:.0f}s cycling Q3-inf: reference {ref_s * 1e3:.1f}ms "
+        f"({_us_per_tick(ref_s, ref_sim)}us/tick), "
+        f"fast-forward {ff_s * 1e3:.1f}ms ({speedup:.1f}x), "
+        f"{ff_sim.leaps} leap(s) skipping {ff_sim.ticks_leapt} ticks; "
+        "summaries byte-identical"
+    )
+    return {
+        "workload": (
+            f"Q3-inf at 0.5x isolation rate, GC-spike orbit, "
+            f"{duration:.0f}s simulated"
+        ),
+        "reference_s": round(ref_s, 4),
+        "reference_us_per_tick": _us_per_tick(ref_s, ref_sim),
+        "fast_forward_s": round(ff_s, 4),
+        "speedup": round(speedup, 3),
+        "leaps": ff_sim.leaps,
+        "ticks_skipped": ff_sim.ticks_leapt,
+        "results_identical": True,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -205,6 +246,8 @@ def main(argv=None) -> int:
     steady = bench_steady(args.smoke)
     print("[b] fast-forward under chaos (step rates + faults + checkpoints)")
     chaos = bench_chaos(args.smoke)
+    print("[c] fast-forward over an exact cycle (Q3-inf GC-spike orbit)")
+    cycle = bench_cycle(args.smoke)
 
     path = merge_bench_section_with_previous(
         "perf",
@@ -214,6 +257,7 @@ def main(argv=None) -> int:
             "smoke": args.smoke,
             "steady": steady,
             "chaos": chaos,
+            "cycle": cycle,
         },
         directory=args.out_dir,
     )

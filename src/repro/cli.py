@@ -133,7 +133,8 @@ def _add_search_args(parser: argparse.ArgumentParser) -> None:
 def _add_ff_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fast-forward", action=argparse.BooleanOptionalAction, default=True,
-        help="leap over converged steady-state ticks (bit-identical "
+        help="leap over ticks that repeat exactly, fixed points and "
+             "cycles alike (bit-identical "
              "results, less wall-clock; see DESIGN.md §9); "
              "--no-fast-forward runs the tick-by-tick reference")
 

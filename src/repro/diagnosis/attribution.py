@@ -301,7 +301,8 @@ class ContentionAttributor:
     def extend(self, ticks: int) -> None:
         """Apply the cached per-tick increment ``ticks`` more times.
 
-        Called for fast-forward leaps: at an exact fixed point the
+        Called for fast-forward leaps, which the engine takes only at
+        exact fixed points while a collector is attached: there the
         per-tick inputs are constant, so repeating the cached addition
         reproduces tick-by-tick accumulation bit-for-bit.
         """

@@ -128,7 +128,12 @@ class DiagnosisCollector:
         )
 
     def extend(self, ticks: int) -> None:
-        """Advance the accumulators over a fast-forward leap."""
+        """Advance the accumulators over a fast-forward leap.
+
+        The engine leaps only at fixed points while a collector is
+        attached, so one cached per-tick increment covers every
+        skipped tick.
+        """
         self.attribution.extend(ticks)
         self.provenance.extend(ticks)
 

@@ -21,9 +21,9 @@ the discovered origins in proportion to the per-source shortfalls,
 pinned so the shares sum to the tick's backpressure exactly (same
 sequential-order contract as the contention attribution). A per-job
 timeline of *dominant* origins is kept as spans; dominance can only
-change on an executed tick, so fast-forward leaps (which only occur at
-exact fixed points) extend the accumulators by repeated addition and
-leave the timeline untouched.
+change on an executed tick, so fast-forward leaps (with a collector
+attached, the engine leaps only at exact fixed points) extend the
+accumulators by repeated addition and leave the timeline untouched.
 """
 
 from __future__ import annotations
@@ -126,9 +126,10 @@ class BottleneckTracker:
     def extend(self, ticks: int) -> None:
         """Repeat the cached per-tick increment for a fast-forward leap.
 
-        Leaps only happen at exact fixed points, where the per-tick
-        inputs — and therefore the dominant origin — are constant, so
-        the timeline needs no update.
+        With a collector attached the engine leaps only at exact fixed
+        points (period-1 cycles), where the per-tick inputs — and
+        therefore the dominant origin — are constant, so the timeline
+        needs no update.
         """
         for _ in range(ticks):
             self._apply_increment()

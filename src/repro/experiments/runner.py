@@ -100,10 +100,11 @@ def simulate_plan(
     Identical inputs are served from the plan-evaluation cache (the
     simulator is deterministic, so warm results are byte-identical);
     pass ``cache=None`` to force a fresh simulation. The engine leaps
-    over converged ticks unless ``config`` sets ``fast_forward=False``
-    (the tick-by-tick reference); ``fast_forward=True`` turns leaping
-    back on over such a config, and ``False`` leaves ``config`` as
-    given. Results are identical either way.
+    over ticks that repeat exactly unless ``config`` sets
+    ``fast_forward=False`` (the tick-by-tick reference);
+    ``fast_forward=True`` turns leaping back on over such a config, and
+    ``False`` leaves ``config`` as given. Results are identical either
+    way.
     """
     if fast_forward:
         config = dataclasses.replace(

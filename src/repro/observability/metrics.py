@@ -125,34 +125,43 @@ class Histogram:
         self._sum = 0.0
         self._count = 0
 
+    def _bucket(self, value: float) -> Optional[int]:
+        """Index of the first bucket bound ``value`` fits under, if any."""
+        for i, bound in enumerate(self.bounds):
+            if value <= bound:
+                return i
+        return None
+
     def observe(self, value: float) -> None:
         value = float(value)
+        bucket = self._bucket(value)
         with self._lock:
             self._sum += value
             self._count += 1
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._counts[i] += 1
-                    break
+            if bucket is not None:
+                self._counts[bucket] += 1
 
-    def observe_repeated(self, value: float, count: int) -> None:
-        """Record ``count`` identical observations under one lock hold.
+    def observe_cycle(self, values: Sequence[float], cycles: int) -> None:
+        """Record ``values`` in order, ``cycles`` times over, under one
+        lock hold.
 
-        The sum is accumulated by repeated addition so the result stays
-        bit-identical with ``count`` separate :meth:`observe` calls
-        (``s + v*k`` rounds differently from adding ``v`` k times).
+        The sum is accumulated by repeated addition in observation order
+        so the result stays bit-identical with the separate
+        :meth:`observe` calls (``s + v*k`` rounds differently from
+        adding ``v`` k times).
         """
-        if count <= 0:
+        if cycles <= 0:
             return
-        value = float(value)
+        values = [float(v) for v in values]
+        buckets = [self._bucket(v) for v in values]
         with self._lock:
-            for _ in range(count):
-                self._sum += value
-            self._count += count
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._counts[i] += count
-                    break
+            for _ in range(cycles):
+                for value in values:
+                    self._sum += value
+            self._count += cycles * len(values)
+            for bucket in buckets:
+                if bucket is not None:
+                    self._counts[bucket] += cycles
 
     def snapshot_value(self) -> Dict[str, Any]:
         with self._lock:

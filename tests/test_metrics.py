@@ -123,7 +123,7 @@ class TestSummaries:
             c.record_job_tick("job", sample(t, thpt=10.0 * t))
             rates = np.full(2, t)
             c.record_task_tick(rates, rates, rates, np.zeros(2))
-        c.replicate_last(3, np.array([6.0, 7.0, 8.0]))
+        c.repeat_last(1, 3, np.array([6.0, 7.0, 8.0]))
         full = c.job_series("job")
         assert len(full) == 8
         assert full[-1] == sample(8.0, thpt=50.0)
