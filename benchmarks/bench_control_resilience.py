@@ -36,11 +36,10 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _helpers import merge_bench_json
 
-from repro.controller.capsys import ControllerConfig
+from repro.controller.capsys import CAPSysController, ControllerConfig
 from repro.controller.guards import GuardConfig
 from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import adaptive_chaos_run
 from repro.faults import ControlChaosSchedule
 from repro.observability import Tracer
 from repro.simulator.engine import SimulationConfig
@@ -96,16 +95,15 @@ def run_leg(
     control_chaos = (
         ControlChaosSchedule.parse(chaos_spec) if chaos_spec else None
     )
-    return adaptive_chaos_run(
-        graph,
-        CLUSTER,
-        "caps",
+    controller = CAPSysController(
+        graph, CLUSTER, config=_config(guarded, fast_forward), tracer=tracer
+    )
+    result = controller.run_adaptive(
         {op: pattern for op in graph.sources()},
         duration_s=scn["duration_s"],
-        config=_config(guarded, fast_forward),
-        tracer=tracer,
         control_chaos=control_chaos,
     )
+    return result, controller
 
 
 def post_fault_backpressure_s(result, fault_at_s: float) -> float:

@@ -19,9 +19,8 @@ sys.path.insert(0, "benchmarks")
 from _helpers import merge_bench_json, run_once
 
 from repro.dataflow.cluster import Cluster, R5D_XLARGE
-from repro.controller.capsys import ControllerConfig
+from repro.controller.capsys import CAPSysController, ControllerConfig
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import adaptive_chaos_run
 from repro.faults import ChaosSchedule, CheckpointConfig
 from repro.placement import FlinkEvenlyStrategy
 from repro.workloads import query_by_name
@@ -45,16 +44,12 @@ CONFIG = ControllerConfig(
 def _run(strategy):
     preset = query_by_name("Q1-sliding")
     graph = preset.build()
-    result, _controller = adaptive_chaos_run(
-        graph,
-        CLUSTER,
-        strategy,
+    controller = CAPSysController(graph, CLUSTER, strategy=strategy, config=CONFIG)
+    return controller.run_adaptive(
         {op: ConstantRate(RATE) for op in graph.sources()},
         duration_s=DURATION_S,
         chaos=CHAOS,
-        config=CONFIG,
     )
-    return result
 
 
 def _recovery_stats(result):

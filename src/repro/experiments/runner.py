@@ -313,46 +313,3 @@ def source_rate_map_plain(
         return {(graph.job_id, op): float(rate[op]) for op in graph.sources()}
     return {(graph.job_id, op): float(rate) for op in graph.sources()}
 
-
-def adaptive_chaos_run(
-    graph: LogicalGraph,
-    cluster: Cluster,
-    strategy: Union[str, PlacementStrategy],
-    patterns: Mapping[str, RatePattern],
-    duration_s: float,
-    chaos: Optional["ChaosSchedule"] = None,
-    config: Optional["ControllerConfig"] = None,
-    initial_parallelism: Optional[Mapping[str, int]] = None,
-    tracer: Optional[Tracer] = None,
-    registry=None,
-    control_chaos: Optional["ControlChaosSchedule"] = None,
-):
-    """Run the adaptive controller under a deterministic fault schedule.
-
-    Thin driver for the fault-recovery experiments (DESIGN.md section
-    8): builds a :class:`~repro.controller.capsys.CAPSysController` for
-    the given strategy and runs :meth:`run_adaptive` with the chaos
-    schedule injected. ``control_chaos`` additionally perturbs the
-    control plane (telemetry and deploys; DESIGN.md section 11).
-    Returns ``(result, controller)`` so callers can inspect both the
-    stitched timeline and controller diagnostics such as
-    :attr:`last_placement_fallback` and :attr:`last_guard`.
-    """
-    from repro.controller.capsys import CAPSysController, ControllerConfig
-
-    controller = CAPSysController(
-        graph,
-        cluster,
-        strategy=strategy,
-        config=config or ControllerConfig(),
-        tracer=tracer,
-        registry=registry,
-    )
-    result = controller.run_adaptive(
-        patterns,
-        duration_s=duration_s,
-        initial_parallelism=initial_parallelism,
-        chaos=chaos,
-        control_chaos=control_chaos,
-    )
-    return result, controller
