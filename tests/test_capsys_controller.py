@@ -12,7 +12,7 @@ from repro.controller.capsys import (
 from repro.controller.events import AdaptiveRunResult, RescaleEvent, TimelineSample
 from repro.placement import FlinkDefaultStrategy
 from repro.workloads import q3_inf
-from repro.workloads.rates import SquareWaveRate, StepSchedule
+from repro.workloads.rates import ConstantRate, SquareWaveRate, StepSchedule
 
 CLUSTER = Cluster.homogeneous(R5D_XLARGE.with_slots(8), count=6)
 FAST = ControllerConfig(
@@ -214,14 +214,20 @@ class TestDowntimeAccounting:
         ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
         result = AdaptiveRunResult()
         dt = FAST.sim.dt
-        t1 = ctl._apply_downtime(result, 100.0, {"src": 1000.0}, {"src": 1, "work": 2})
+        t1 = ctl._apply_downtime(
+            result, 100.0, {"src": ConstantRate(1000.0)}, {"src": 1, "work": 2}
+        )
         expected_steps = int(round(FAST.rescale_downtime_s / dt))
         assert t1 == pytest.approx(100.0 + expected_steps * dt)
         n_first = len(result.samples)
         assert n_first == expected_steps
 
         t2 = ctl._apply_downtime(
-            result, t1, {"src": 1000.0}, {"src": 1, "work": 2}, downtime_s=7.3
+            result,
+            t1,
+            {"src": ConstantRate(1000.0)},
+            {"src": 1, "work": 2},
+            downtime_s=7.3,
         )
         assert t2 == pytest.approx(t1 + int(round(7.3 / dt)) * dt)
         times = [s.time_s for s in result.samples]

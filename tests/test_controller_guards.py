@@ -423,7 +423,11 @@ class TestDowntimeEdges:
         ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
         result = AdaptiveRunResult()
         now = ctl._apply_downtime(
-            result, 100.0, {"src": 2000.0}, {"src": 1, "work": 1}, downtime_s=0.0
+            result,
+            100.0,
+            {"src": ConstantRate(2000.0)},
+            {"src": 1, "work": 1},
+            downtime_s=0.0,
         )
         assert now == 100.0
         assert result.samples == []
@@ -435,7 +439,7 @@ class TestDowntimeEdges:
         now = ctl._apply_downtime(
             result,
             100.0,
-            {"src": 2000.0},
+            {"src": ConstantRate(2000.0)},
             {"src": 1, "work": 1},
             downtime_s=0.4 * dt,
         )
@@ -447,10 +451,10 @@ class TestDowntimeEdges:
     def test_back_to_back_downtimes_never_overlap(self):
         ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
         result = AdaptiveRunResult()
-        target = {"src": 2000.0}
+        patterns = {"src": ConstantRate(2000.0)}
         par = {"src": 1, "work": 1}
-        t1 = ctl._apply_downtime(result, 100.0, target, par)
-        t2 = ctl._apply_downtime(result, t1, target, par)
+        t1 = ctl._apply_downtime(result, 100.0, patterns, par)
+        t2 = ctl._apply_downtime(result, t1, patterns, par)
         assert t1 == 100.0 + FAST.rescale_downtime_s
         assert t2 == t1 + FAST.rescale_downtime_s
         times = [s.time_s for s in result.samples]
