@@ -59,8 +59,8 @@ class GuardConfig:
     observed rates by small integer factors, so the guards only reject
     samples that are *physically* implausible or wildly outside the
     operator's own accepted history. Guards arm only when a control
-    chaos schedule is in play (see ``run_adaptive``), so clean runs are
-    byte-identical to the pre-guard controller.
+    chaos schedule is in play (see ``run_adaptive``): a clean run has
+    no guard state to report, so its outputs carry no guard rounds.
     """
 
     enabled: bool = True

@@ -47,8 +47,8 @@ class Explanation:
         guard_verdict: Control-plane guard verdict attached by the
             controller when guards are armed (``"clean"``,
             ``"rejected"`` — telemetry was quarantined this round — or
-            ``"safe_mode"``); ``None`` when guards are not in play, so
-            pre-guard traces stay byte-identical.
+            ``"safe_mode"``); ``None`` when guards are not armed, so a
+            run without them records no verdict.
     """
 
     trigger: str
