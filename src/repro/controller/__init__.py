@@ -20,7 +20,6 @@ downtime.
 from repro.controller.events import AdaptiveRunResult, RescaleEvent, TimelineSample
 from repro.controller.profiler import CostProfiler
 from repro.controller.capsys import CAPSysController, ControllerConfig, Deployment
-from repro.controller.online import OnlineProfiler, estimate_unit_costs
 
 __all__ = [
     "AdaptiveRunResult",
@@ -30,6 +29,4 @@ __all__ = [
     "CAPSysController",
     "ControllerConfig",
     "Deployment",
-    "OnlineProfiler",
-    "estimate_unit_costs",
 ]

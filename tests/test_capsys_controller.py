@@ -195,14 +195,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="autotune_timeout_s must be positive"):
             ControllerConfig(autotune_timeout_s=0.0)
 
-    def test_cooldown_bounds_validated(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(rescale_cooldown_s=-1.0)
-        with pytest.raises(ValueError):
-            ControllerConfig(rescale_backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            ControllerConfig(rescale_cooldown_s=100.0, rescale_cooldown_max_s=50.0)
-
 
 class TestDowntimeAccounting:
     def test_back_to_back_rescales_never_double_count(self):

@@ -3,14 +3,12 @@
 Exercises :class:`ControlPlaneGuard` in isolation — verdict ordering,
 last-known-good substitution, staleness quarantine, watchdog/safe-mode
 transitions — plus the satellite hardening that rides along: config
-validation (:class:`GuardConfig`, :class:`ControllerConfig`), recovery
-downtime edge cases, and the online profiler's outlier screening and
-quarantine.
+validation (:class:`GuardConfig`, :class:`ControllerConfig`) and
+recovery downtime edge cases.
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.controller.capsys import (
@@ -23,12 +21,6 @@ from repro.controller.guards import (
     ControlPlaneGuard,
     GuardConfig,
 )
-from repro.controller.online import (
-    OnlineProfiler,
-    _usage_row_mask,
-    estimate_unit_costs,
-)
-from repro.core.cost_model import UnitCosts
 from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.diagnosis.explain import Explanation
@@ -331,11 +323,6 @@ class TestControllerConfigValidation:
             {"policy_interval_s": float("nan")},
             {"activation_time_s": float("inf")},
             {"rescale_downtime_s": float("nan")},
-            {"ds2_utilisation_target": float("nan")},
-            {"rescale_cooldown_s": float("inf")},
-            {"rescale_backoff_factor": float("nan")},
-            {"rescale_cooldown_max_s": float("-inf")},
-            {"rescale_cooldown_s": 100.0, "rescale_cooldown_max_s": 50.0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -343,8 +330,8 @@ class TestControllerConfigValidation:
             ControllerConfig(**kwargs)
 
     def test_error_names_the_field(self):
-        with pytest.raises(ValueError, match="profiling_rate"):
-            ControllerConfig(profiling_rate=float("nan"))
+        with pytest.raises(ValueError, match="profiling_duration_s"):
+            ControllerConfig(profiling_duration_s=float("nan"))
 
 
 class TestExplanationGuardVerdict:
@@ -461,109 +448,3 @@ class TestDowntimeEdges:
         assert times == sorted(times)
         assert len(times) == len(set(times)), "no double-counted downtime sample"
         assert all(s.throughput == 0.0 and s.backpressure == 1.0 for s in result.samples)
-
-
-class TestUsageRowScreening:
-    def test_non_finite_rows_always_dropped(self):
-        rows = np.array([[1.0, 1.0], [np.nan, 1.0], [1.0, 1.0]])
-        keep = _usage_row_mask(rows, mad_threshold=8.0, min_rows=1)
-        assert keep.tolist() == [True, False, True]
-
-    def test_outlier_row_dropped(self):
-        rows = np.array([[9.0], [10.0], [11.0], [12.0], [1000.0]])
-        keep = _usage_row_mask(rows, mad_threshold=8.0, min_rows=2)
-        assert keep.tolist() == [True, True, True, True, False]
-
-    def test_never_drops_below_min_rows(self):
-        rows = np.array([[10.0], [1000.0]])
-        keep = _usage_row_mask(rows, mad_threshold=8.0, min_rows=2)
-        assert keep.tolist() == [True, True]
-
-    def test_zero_mad_keeps_everything_finite(self):
-        rows = np.array([[10.0], [10.0], [10.0], [1000.0]])
-        # Deviations' median is 0: no robust scale to judge against, so
-        # the screen declines to guess.
-        keep = _usage_row_mask(rows, mad_threshold=8.0, min_rows=1)
-        assert keep.tolist() == [True, True, True, True]
-
-    def test_screening_without_flagged_rows_is_bit_identical(self):
-        # With an unreachable threshold the masked path keeps every
-        # row — the solve must reproduce the unscreened estimates
-        # bit-for-bit (the screening is a filter, not a reweighting).
-        ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST)
-        dep = ctl.deploy({"src": 2000.0})
-        dep.engine.run_until(60.0)
-        plain = estimate_unit_costs(dep.engine, warmup_s=10.0)
-        screened = estimate_unit_costs(
-            dep.engine, warmup_s=10.0, mad_threshold=float("inf")
-        )
-        assert plain == screened
-
-
-class TestOnlineProfilerQuarantine:
-    COSTS = {
-        KEY: UnitCosts(
-            cpu_per_record=1e-3,
-            io_bytes_per_record=10.0,
-            net_bytes_per_record=100.0,
-            selectivity=1.0,
-        )
-    }
-
-    def profiler(self, **kwargs):
-        return OnlineProfiler(self.COSTS, **kwargs)
-
-    def patch_estimate(self, monkeypatch, costs):
-        import repro.controller.online as online_mod
-
-        monkeypatch.setattr(
-            online_mod, "estimate_unit_costs", lambda *a, **k: costs
-        )
-
-    def patch_estimate_raising(self, monkeypatch):
-        import repro.controller.online as online_mod
-
-        def corrupt(*a, **k):
-            # What a NaN-poisoned solve does: UnitCosts construction
-            # rejects the non-finite coefficient.
-            raise ValueError("cpu_per_record must be finite and non-negative")
-
-        monkeypatch.setattr(online_mod, "estimate_unit_costs", corrupt)
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            self.profiler(staleness_budget=0)
-        with pytest.raises(ValueError):
-            self.profiler(smoothing=0.0)
-
-    def test_corrupt_estimate_quarantined(self, monkeypatch):
-        profiler = self.profiler()
-        self.patch_estimate_raising(monkeypatch)
-        profiler.refresh(sim=None)
-        assert profiler.quarantined_total == 1
-        assert profiler.unit_costs == self.COSTS  # untouched
-
-    def test_staleness_budget_flips_stale(self, monkeypatch):
-        profiler = self.profiler(staleness_budget=2)
-        starved = {
-            KEY: UnitCosts(
-                cpu_per_record=0.0,
-                io_bytes_per_record=0.0,
-                net_bytes_per_record=0.0,
-                selectivity=0.0,
-            )
-        }
-        self.patch_estimate(monkeypatch, starved)
-        profiler.refresh(sim=None)
-        assert not profiler.stale
-        profiler.refresh(sim=None)
-        assert profiler.stale
-
-    def test_good_refresh_resets_staleness(self, monkeypatch):
-        profiler = self.profiler(staleness_budget=1)
-        self.patch_estimate_raising(monkeypatch)
-        profiler.refresh(sim=None)
-        assert profiler.stale
-        self.patch_estimate(monkeypatch, self.COSTS)
-        profiler.refresh(sim=None)
-        assert not profiler.stale
