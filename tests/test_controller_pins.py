@@ -174,9 +174,9 @@ PINS = {
             "total_tasks": "5036f8e004b4a132",
             "events": "a652e499947dc6f7",
             "guard": "af5d8a21858f4280",
-            "trace": "43e1faae4b03501b",
-            "metrics": "271c2faa5648ce01",
-            "diagnosis": "b3b1a696faa33eb8",
+            "trace": "1ebfb0b7bef25027",
+            "metrics": "5f0892b1d6073c33",
+            "diagnosis": "be1fe743a0ce100a",
         },
     ),
     "control_chaos": (
