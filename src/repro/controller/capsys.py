@@ -632,7 +632,7 @@ class CAPSysController:
                 if now < duration_s - 1e-9:
                     deployment, now = self._attempt_deploy(
                         result, now, patterns, fitted, reason, health,
-                        rollback=deployment.parallelism, end_s=duration_s,
+                        running=deployment, end_s=duration_s,
                     )
                 last_rescale = now
                 pending_replan = None
@@ -760,7 +760,7 @@ class CAPSysController:
         fitted: Mapping[str, int],
         reason: str,
         health: ClusterHealth,
-        rollback: Mapping[str, int],
+        running: Deployment,
         end_s: float,
     ) -> Tuple[Deployment, float]:
         """Start a new configuration through the control-chaos gate.
@@ -771,9 +771,12 @@ class CAPSysController:
         undetected-failure model — all engine workers dead until the
         next reconfiguration); **guarded**, failures get bounded retries
         with exponential backoff (each retry paying its backoff as
-        extra downtime), then a rollback to the previous configuration,
-        and a terminal failure leaves a down engine that the guard's
-        zombie-recovery path redeploys on the next un-gated round.
+        extra downtime), then a rollback to the ``running``
+        configuration, and a terminal failure leaves a down engine that
+        the guard's zombie-recovery path redeploys on the next un-gated
+        round. A backoff or deploy delay that reaches ``end_s`` leaves
+        no time to run a new deployment, so ``running`` is returned and
+        nothing is placed or started.
         """
         view = self._control_view
         guard = self._guard
@@ -796,7 +799,7 @@ class CAPSysController:
                     # Retries exhausted: fall back to the last known
                     # good configuration and try once more.
                     fitted = self._fit_to_cluster(
-                        rollback, budget=health.total_slots()
+                        running.parallelism, budget=health.total_slots()
                     )
                     reason = f"{reason}:rollback"
                     self._observe_rollback(now, fitted)
@@ -816,6 +819,8 @@ class CAPSysController:
             now = self._apply_downtime(
                 result, now, patterns, fitted, extra_delay_s, end_s=end_s
             )
+        if now >= end_s - 1e-9:
+            return running, now
         if guard is not None:
             # New configuration, new contention regime: stale medians
             # must not poison the outlier test.

@@ -323,13 +323,31 @@ class TestDowntimeTimeline:
         ]
 
     @pytest.mark.parametrize(
-        "duration_s, chaos, reason",
-        [(150.0, "crash:w1@146", "fault:crash:w1"), (63.0, None, "ds2")],
+        "duration_s, chaos, reason, control",
+        [
+            pytest.param(
+                150.0, "crash:w1@146", "fault:crash:w1", None,
+                id="150.0-crash:w1@146-fault:crash:w1",
+            ),
+            pytest.param(63.0, None, "ds2", None, id="63.0-None-ds2"),
+            pytest.param(
+                150.0, "crash:w1@140", "fault:crash:w1", "deploy_delay:@140x20",
+                id="150.0-crash:w1@140-deploy_delay:@140x20",
+            ),
+            pytest.param(
+                150.0, "crash:w1@140", "fault:crash:w1", "deploy_fail:@140x3",
+                id="150.0-crash:w1@140-deploy_fail:@140x3",
+            ),
+        ],
     )
-    def test_the_timeline_stops_at_the_run_end(self, duration_s, chaos, reason):
+    def test_the_timeline_stops_at_the_run_end(
+        self, duration_s, chaos, reason, control
+    ):
         # A rescale 3-4 s before the end owes a 5 s restart downtime: a
         # crash forces one at 146 s, and DS2 asks for one in the first
-        # un-gated round, at 60 s.
+        # un-gated round, at 60 s. Under control chaos the crash at
+        # 140 s pays its 5 s downtime, and then a 20 s deploy delay, or
+        # retries backing off 2 s and 4 s and a rollback, reach the end.
         tracer = Tracer(run_id="end")
         ctl = CAPSysController(tiny_query(), CLUSTER, config=FAST, tracer=tracer)
         result = ctl.run_adaptive(
@@ -337,6 +355,7 @@ class TestDowntimeTimeline:
             duration_s=duration_s,
             initial_parallelism={"src": 1, "work": 1},
             chaos=ChaosSchedule.parse(chaos) if chaos else None,
+            control_chaos=ControlChaosSchedule.parse(control) if control else None,
         )
         assert result.events[-1].reason == reason
         assert [s.time_s for s in result.samples] == [
@@ -344,7 +363,10 @@ class TestDowntimeTimeline:
         ]
         sim = tracer.stream("sim")
         last = [r for r in sim if r["name"] == "controller.rescale.downtime"][-1]
-        assert last["t"] + last["dur"] == duration_s
+        if control is None:
+            assert last["t"] + last["dur"] == duration_s
+        else:
+            assert last["t"] + last["dur"] == 145.0
         # A downtime that reaches the end leaves no time to run a new
         # deployment, so none is placed or started.
         deploys = [r["t"] for r in sim if r["name"] == "controller.deploy"]
