@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core.plan import PlacementPlan
-from repro.dataflow.cluster import Cluster, WorkerSpec
+from repro.dataflow.cluster import M5D_2XLARGE, Cluster, WorkerSpec
 from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.dataflow.physical import PhysicalGraph
 from repro.simulator.engine import SimulationConfig
@@ -24,6 +24,7 @@ from repro.simulator.plan_cache import (
     simulation_fingerprint,
 )
 from repro.simulator.results import SimulationSummary
+from repro.workloads import query_by_name
 from repro.workloads.rates import StepSchedule
 
 SPEC = WorkerSpec(
@@ -380,3 +381,53 @@ class TestCacheThreadSafety:
             t.join()
         assert len(cache) <= 8
         assert cache.hits + cache.misses == 4 * rounds
+
+
+def _preset_input(names, workers, rate_scale, pattern=None):
+    """A merged preset deployment, round-robin on ``workers`` m5d workers."""
+    graphs = [query_by_name(name).build() for name in names]
+    physical = PhysicalGraph.merge(PhysicalGraph.expand(g) for g in graphs)
+    cluster = Cluster.homogeneous(M5D_2XLARGE.with_slots(8), count=workers)
+    plan = PlacementPlan(
+        {t.uid: i % workers for i, t in enumerate(physical.tasks)}
+    )
+    rates = {}
+    for name, graph in zip(names, graphs):
+        rate = query_by_name(name).isolation_rate * rate_scale
+        for op in graph.sources():
+            rates[(graph.job_id, op)] = pattern(rate) if pattern else rate
+    return physical, cluster, plan, rates
+
+
+class TestFingerprintPins:
+    """Literal digests: an edit to how the fingerprint is computed must
+    leave the payload, and so every digest, unchanged."""
+
+    def test_small_deployment(self):
+        physical, cluster = small_deployment()
+        assert fingerprint(physical, cluster, plan_on_worker(physical, 0)) == (
+            "0a6bb197b21d3fa8fa91d0a5d9f4c45673725cc61a1e5ad829372c33ba831bd1"
+        )
+
+    def test_preset_with_steps_config_and_network_cap(self):
+        physical, cluster, plan, rates = _preset_input(
+            ["Q2-join"], workers=4, rate_scale=0.5,
+            pattern=lambda rate: StepSchedule.doubling_then_halving(
+                rate, interval_s=80.0, repeats=1
+            ),
+        )
+        digest = simulation_fingerprint(
+            physical, cluster, plan, rates, duration_s=320.0, warmup_s=60.0,
+            config=SimulationConfig(dt=0.5, noise_std=0.05, seed=3),
+            network_cap_bytes_per_s=1.25e8,
+        )
+        assert digest == "1ed09365692400b7d66cd2e5075405a97ae71da60b47bfa8cad94cb9f0120c5b"
+
+    def test_two_jobs(self):
+        physical, cluster, plan, rates = _preset_input(
+            ["Q1-sliding", "Q6-session"], workers=4, rate_scale=0.9
+        )
+        digest = simulation_fingerprint(
+            physical, cluster, plan, rates, duration_s=240.0, warmup_s=0.0
+        )
+        assert digest == "7a0350ee16ac80060459721a5d401863eaa8de865b70b062b3d82e9e8c83314e"
