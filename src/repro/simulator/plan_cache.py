@@ -53,11 +53,14 @@ class _Uncacheable(Exception):
     """Raised when an input has no canonical encoding."""
 
 
-def _canon(obj: Any) -> Any:
+def _canon(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
     """Canonical, hashable, deterministic encoding of a value.
 
     The encoding is injective for the types it accepts (each branch tags
     its payload), so distinct inputs cannot collide before hashing.
+    ``memo`` maps ``id(obj)`` to the encoding of each dataclass instance
+    met so far, so an instance reached more than once is encoded once;
+    it is valid only while every instance it names is alive.
     """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
@@ -67,20 +70,30 @@ def _canon(obj: Any) -> Any:
     if isinstance(obj, enum.Enum):
         return ("e", type(obj).__name__, obj.name)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (
+        if memo is not None and id(obj) in memo:
+            return memo[id(obj)]
+        encoded = (
             "d",
             type(obj).__name__,
             tuple(
-                (f.name, _canon(getattr(obj, f.name)))
+                (f.name, _canon(getattr(obj, f.name), memo))
                 for f in dataclasses.fields(obj)
             ),
         )
+        if memo is not None:
+            memo[id(obj)] = encoded
+        return encoded
     if isinstance(obj, Mapping):
-        return ("m", tuple(sorted((_canon(k), _canon(v)) for k, v in obj.items())))
+        return (
+            "m",
+            tuple(
+                sorted((_canon(k, memo), _canon(v, memo)) for k, v in obj.items())
+            ),
+        )
     if isinstance(obj, (list, tuple)):
-        return ("l", tuple(_canon(item) for item in obj))
+        return ("l", tuple(_canon(item, memo) for item in obj))
     if isinstance(obj, (set, frozenset)):
-        return ("s", tuple(sorted(_canon(item) for item in obj)))
+        return ("s", tuple(sorted(_canon(item, memo) for item in obj)))
     raise _Uncacheable(f"no canonical encoding for {type(obj).__name__}")
 
 
@@ -89,16 +102,19 @@ def _canon_physical(physical: PhysicalGraph) -> Any:
 
     Each task is paired with its :class:`OperatorSpec` — two workloads
     with identical topology but different per-tuple costs or selectivity
-    must not share a fingerprint.
+    must not share a fingerprint. The tasks of an operator share its
+    spec and every channel names two tasks, so one memo encodes each
+    task and each spec once; the graph keeps them all alive.
     """
+    memo: Dict[int, Any] = {}
     tasks = tuple(
         sorted(
-            (_canon(task), _canon(physical.spec_of(task)))
+            (_canon(task, memo), _canon(physical.spec_of(task), memo))
             for task in physical.tasks
         )
     )
     channels = tuple(
-        sorted(_canon(channel) for channel in physical.channels)
+        sorted(_canon(channel, memo) for channel in physical.channels)
     )
     return ("physical", tasks, channels)
 
