@@ -19,6 +19,10 @@ capacity changes mid-run (degrade, crash, recover), GC spikes,
 step-rate segments with checkpoints and a fault driver, fast-forward
 with diagnosis attached, a last-bit flip-flop orbit, two jobs sharing a
 cluster, and measurement noise.
+
+The engine derives the task-window and worker rows in batches of
+ticks; reading them after every ``step()`` must give the digest that
+reading them only at the end gives.
 """
 
 import dataclasses
@@ -72,6 +76,9 @@ def _digest(sim):
     """sha256 over every metric row and the final engine state."""
     h = hashlib.sha256()
     metrics = sim.metrics
+    # A public read derives any pending task-window and worker rows
+    # before the private stores are read.
+    metrics.task_rates()
     for job_id in metrics.job_ids:
         for sample in metrics.job_series(job_id):
             h.update(struct.pack("<6d", *dataclasses.astuple(sample)))
@@ -228,3 +235,22 @@ def test_cycles_leap_by_default_and_match_the_reference(name):
         r["args"]["period"] for r in tracer.stream("sim") if r["name"] == "engine.leap"
     ]
     assert any(period > 1 for period in periods)
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_rows_read_after_every_step_match_the_pin(name, monkeypatch):
+    # Reading the rates and worker means after each step() derives the
+    # rows one tick at a time; the digest must not depend on it.
+    build, expected = PINS[name]
+    step = FluidSimulation.step
+
+    def step_then_read(self):
+        step(self)
+        metrics = self.metrics
+        metrics.task_rates()
+        metrics.worker_cpu_utilisation()
+        metrics.worker_io_rate()
+        metrics.worker_net_rate()
+
+    monkeypatch.setattr(FluidSimulation, "step", step_then_read)
+    assert _digest(build()) == expected
