@@ -133,6 +133,10 @@ def _cov(*pairs: Tuple[str, str]) -> Tuple[CoveredAttr, ...]:
 #:   simulated domain; replayed identically because its inputs are.
 #: - ``lazy-init``      — deterministic first-touch initialisation
 #:   (metric registry); identical whether or not ticks were leapt.
+#: - ``settled``        — raw rows of executed ticks whose metric rows
+#:   are not derived yet; ``repeat_last`` settles them into the
+#:   ``replicated`` stores first, so a leap starts with none pending and
+#:   skips none.
 DEFAULT_FF_COVERAGE: Mapping[Tuple[str, str], Tuple[CoveredAttr, ...]] = {
     ("repro.simulator.engine", "FluidSimulation"): _cov(
         ("queue", "cycle-key"),
@@ -152,6 +156,9 @@ DEFAULT_FF_COVERAGE: Mapping[Tuple[str, str], Tuple[CoveredAttr, ...]] = {
         ("checkpoints_taken", "event-horizon"),
         ("_target_arr", "event-horizon"),
         ("_target_until_tick", "event-horizon"),
+        # Derived from _target_arr with it.
+        ("_target_dt", "event-horizon"),
+        ("_job_targets", "event-horizon"),
         # Rebuilt only after a capacity change, which leaps never cross.
         ("_capacity_epoch", "event-horizon"),
         ("_ff_ticks", "ff-bookkeeping"),
@@ -166,6 +173,13 @@ DEFAULT_FF_COVERAGE: Mapping[Tuple[str, str], Tuple[CoveredAttr, ...]] = {
     ("repro.simulator.engine", "_CapacityEpoch"): _cov(
         # Per GC flag pattern, dropped with the epoch.
         ("_gc_inputs", "event-horizon"),
+    ),
+    ("repro.simulator.engine", "_PendingRows"): _cov(
+        ("block", "settled"),
+        ("count", "settled"),
+        # The epoch of the pending rows; the engine settles before a
+        # capacity changes.
+        ("epoch", "event-horizon"),
     ),
     ("repro.diagnosis.collector", "DiagnosisCollector"): _cov(
         ("attribution", "repeated-add"),

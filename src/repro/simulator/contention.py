@@ -25,7 +25,11 @@ We model this with two orthogonal mechanisms:
 
 :func:`share_resources` applies both to one tick of demand. The fluid
 engine and the record runtime's paced budgets both call it, and the
-diagnosis collector reads the :class:`Grants` it returns.
+diagnosis collector reads the :class:`Grants` it returns. It calls the
+unchecked kernels :func:`_grant` and :func:`_penalty`, whose capacities
+are positive by construction; the public :func:`proportional_scale`
+and :func:`thread_oversubscription_penalty` check their arguments and
+then call the same kernels.
 """
 
 from __future__ import annotations
@@ -74,6 +78,26 @@ class ContentionConfig:
             raise ValueError("heavy_writer_share must be in (0, 1]")
 
 
+def _grant(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
+    """Grant fraction ``capacity / max(demand, capacity)``, unchecked.
+
+    Where the demand fits, the divisor is the capacity itself, and
+    ``x / x`` is exactly 1.0 for a finite positive ``x``; elsewhere it
+    is ``capacity / demand``. So for a finite positive capacity and a
+    non-NaN demand this equals the masked form it replaces (ones, then
+    ``capacity / demand`` where ``demand > capacity``); only a NaN
+    demand or an infinite capacity, which no tick produces, gives NaN
+    instead of 1.0.
+    """
+    return capacity / np.maximum(demand, capacity)
+
+
+def _penalty(active_threads: np.ndarray, cores: np.ndarray, coeff: float) -> np.ndarray:
+    """CPU capacity divisor ``1 + coeff * excess / cores``, unchecked."""
+    excess = np.maximum(0.0, active_threads - cores)
+    return 1.0 + coeff * excess / cores
+
+
 def proportional_scale(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """Work-conserving per-worker grant fraction.
 
@@ -90,11 +114,7 @@ def proportional_scale(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     capacity = np.asarray(capacity, dtype=float)
     if (capacity <= 0).any():
         raise ValueError("capacities must be positive")
-    scale = np.ones_like(demand)
-    over = demand > capacity
-    if over.any():
-        scale[over] = capacity[over] / demand[over]
-    return scale
+    return _grant(demand, capacity)
 
 
 def degraded_capacity(
@@ -128,8 +148,7 @@ def thread_oversubscription_penalty(
     cores = np.asarray(cores, dtype=float)
     if (cores <= 0).any():
         raise ValueError("core counts must be positive")
-    excess = np.maximum(0.0, np.asarray(active_threads, dtype=float) - cores)
-    return 1.0 + coeff * excess / cores
+    return _penalty(np.asarray(active_threads, dtype=float), cores, coeff)
 
 
 def thread_cap(service_floor: np.ndarray, dt: float) -> np.ndarray:
@@ -219,11 +238,12 @@ def share_resources(
     cpu_by_worker = np.bincount(worker, weights=cpu_demand, minlength=n)
     active = cpu_demand > config.cpu_active_share
     active_threads = np.bincount(worker[active], minlength=n)
-    cpu_penalty = thread_oversubscription_penalty(
-        active_threads, cpu_capacity, config.cpu_thread_penalty
-    )
+    # The capacities are positive by construction: the worker, disk and
+    # NIC models check them, degraded_capacity keeps a floor above zero
+    # and every penalty is at least 1. So the kernels skip the checks.
+    cpu_penalty = _penalty(active_threads, cpu_capacity, config.cpu_thread_penalty)
     cpu_effective = cpu_capacity / cpu_penalty
-    cpu_scale = proportional_scale(cpu_by_worker, cpu_effective)
+    cpu_scale = _grant(cpu_by_worker, cpu_effective)
 
     io_demand = want * io / dt
     disk_demand = np.bincount(worker, weights=io_demand, minlength=n)
@@ -232,9 +252,9 @@ def share_resources(
     disk_effective = disk.effective_capacity(
         disk.heavy_writer_counts(io_demand, worker)
     )
-    io_scale = proportional_scale(disk_demand, disk_effective)
+    io_scale = _grant(disk_demand, disk_effective)
 
-    net_scale = nic.scale(net_by_worker)
+    net_scale = _grant(net_by_worker, nic.capacity)
 
     # Every grant lies in (0, 1], so the first mask needs no ``minimum``
     # against ones.

@@ -20,8 +20,10 @@ Per tick the engine resolves, in order:
    (credit-style head-of-line blocking: a task processes only what its
    most congested downstream channel can absorb), and the shortfall of
    each source against its target is the reported backpressure.
-4. **Metrics**: per-job throughput/backpressure/latency samples and the
-   per-task observed and *true* rates DS2 consumes.
+4. **Metrics**: per-job throughput/backpressure/latency samples, every
+   tick; the per-task observed and *true* rates DS2 consumes and the
+   per-worker usage rows are derived from the tick's raw inputs in
+   batches of ticks (:class:`_PendingRows`), before anything reads them.
 
 Reconfigurations are modelled by the controller layer: it stops one
 engine, applies a restart downtime, and starts a new engine with the
@@ -80,6 +82,10 @@ _FF_RECORD_TICKS = 128
 #: One tick, as a dimensional quantity: multiplying ``dt`` (seconds
 #: per tick) by this yields a duration in seconds.
 _ONE_TICK = 1.0
+
+#: Executed ticks whose metric rows one settle derives together (see
+#: :class:`_PendingRows`).
+_PENDING_TICKS = 32
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,7 @@ class _CapacityEpoch:
     caching them moves no float.
 
     Attributes:
+        cpu_capacity: The per-worker cores.
         disk_w / nic_w: Per-task gathers of the worker disk and NIC
             capacities.
         io_floor / net_floor: Per-record disk and NIC seconds at full
@@ -180,12 +187,13 @@ class _CapacityEpoch:
     """
 
     __slots__ = (
-        "disk_w", "nic_w", "io_floor", "net_floor", "alive_w", "thread_cap",
-        "_gc_inputs",
+        "cpu_capacity", "disk_w", "nic_w", "io_floor", "net_floor", "alive_w",
+        "thread_cap", "_gc_inputs",
     )
 
     def __init__(self, engine: "FluidSimulation") -> None:
         worker = engine.worker
+        self.cpu_capacity = engine.cpu_capacity
         self.disk_w = engine.disk.capacity[worker]
         self.nic_w = engine.nic.capacity[worker]
         self.io_floor = engine.io / self.disk_w
@@ -223,6 +231,139 @@ class _CapacityEpoch:
             pair = (cpu_eff, cap)
             self._gc_inputs[key] = pair
         return pair
+
+
+def _row_sums(index: np.ndarray, values: np.ndarray, bins: int) -> np.ndarray:
+    """Per-row ``np.bincount(index, weights=row, minlength=bins)`` of a
+    ``(k, n)`` block, as one ``(k, bins)`` array.
+
+    One bincount over the flattened block, with each row's bins offset
+    past the previous row's: every bin still sums its own row's values
+    in index order from 0.0, so each row equals its own bincount.
+    """
+    k = len(values)
+    offsets = (np.arange(k) * bins)[:, None] + index
+    return np.bincount(
+        offsets.ravel(), weights=values.ravel(), minlength=k * bins
+    ).reshape(k, bins)
+
+
+class _PendingRows:
+    """Raw inputs of executed ticks whose metric rows are not derived yet.
+
+    Each tick stores one row of a fixed ``(_PENDING_TICKS, channels, n)``
+    block: its final processing, its effective CPU cost and the CPU,
+    disk and NIC grants gathered per task, and with measurement noise
+    the tick's two noise draws (the tick still draws them, so the RNG
+    stream is unchanged). :meth:`settle` derives the task-window rows
+    (observed, true and output rates, busy fraction) and the worker
+    usage rows of every pending tick in one pass over the ``(k, n)``
+    block, with the element-wise expressions a tick used to apply to
+    its own row, and appends them to the collector; so no derived float
+    moves.
+
+    The derivation reads the capacities of the epoch the rows were
+    recorded in, so the engine settles before a capacity changes, when
+    the block fills, and when a run returns, and the collector settles
+    (through its ``settle_hook``) before anything reads those rows or a
+    leap replicates them. A settle frees the block and the next tick
+    allocates a fresh one, so an engine between runs, or retired, holds
+    none. This object holds the engine's static arrays, not the engine,
+    so the hook makes no reference cycle.
+    """
+
+    __slots__ = (
+        "block", "count", "epoch", "_shape", "_dt", "_io", "_sel",
+        "_cross_bytes", "_worker", "_worker_count", "_cross_src",
+        "_cross_share", "_cross_outb", "_cross_worker",
+    )
+
+    def __init__(self, engine: "FluidSimulation") -> None:
+        channels = 7 if engine.config.noise_std > 0 else 5
+        self._shape = (_PENDING_TICKS, channels, len(engine.cpu))
+        self.block: Optional[np.ndarray] = None
+        self.count = 0
+        self.epoch: Optional[_CapacityEpoch] = None
+        self._dt = engine.config.dt
+        self._io = engine.io
+        self._sel = engine.sel
+        self._cross_bytes = engine.cross_bytes_per_record
+        self._worker = engine.worker
+        self._worker_count = engine._worker_count
+        self._cross_src = engine._cross_src
+        self._cross_share = engine._cross_share
+        self._cross_outb = engine._cross_outb
+        self._cross_worker = engine._cross_worker
+
+    def push(
+        self,
+        epoch: _CapacityEpoch,
+        proc_final: np.ndarray,
+        cpu_eff: np.ndarray,
+        grants: Grants,
+        noise: Optional[np.ndarray],
+    ) -> bool:
+        """Store one tick's raw row; True when the block is full."""
+        if self.block is None:
+            self.block = np.empty(self._shape)
+        row = self.block[self.count]
+        row[0] = proc_final
+        row[1] = cpu_eff
+        row[2] = grants.cpu_scale_w
+        row[3] = grants.io_scale_w
+        row[4] = grants.net_scale_w
+        if noise is not None:
+            row[5:] = noise.reshape(2, -1)
+        self.epoch = epoch
+        self.count += 1
+        return self.count == len(self.block)
+
+    def settle(self, metrics: MetricsCollector) -> None:
+        """Derive the pending ticks' rows and append them to ``metrics``."""
+        k = self.count
+        if not k:
+            return
+        rows = self.block[:k]
+        self.count = 0
+        self.block = None
+        epoch = self.epoch
+        dt = self._dt
+        proc_final = rows[:, 0]
+        cpu_eff = rows[:, 1]
+        service_time = cpu_eff / np.maximum(rows[:, 2], 1e-12)
+        service_time = service_time + self._io / np.maximum(
+            epoch.disk_w * rows[:, 3], 1e-12
+        )
+        service_time = service_time + self._cross_bytes / np.maximum(
+            epoch.nic_w * rows[:, 4], 1e-12
+        )
+        # The divisor is at least 1e-12, so nothing divides by zero.
+        true_rate = np.where(
+            service_time > 0, 1.0 / np.maximum(service_time, 1e-12), _HUGE_RATE
+        )
+        true_rate = np.minimum(true_rate, _HUGE_RATE)
+        observed = proc_final / dt
+        # np.clip keeps a -0.0 that np.minimum(np.maximum(...)) would
+        # turn into 0.0.
+        busy = np.clip(proc_final * service_time / dt, 0.0, 1.0)
+        if rows.shape[1] > 5:
+            observed = observed * np.clip(rows[:, 5], 0.5, 1.5)
+            true_rate = true_rate * np.clip(rows[:, 6], 0.5, 1.5)
+        out_recs_final = proc_final * self._sel
+        metrics.record_task_block(observed, true_rate, out_recs_final / dt, busy)
+        workers = self._worker_count
+        cpu_util = (
+            _row_sums(self._worker, proc_final * cpu_eff / dt, workers)
+            / epoch.cpu_capacity
+        )
+        io_rate = _row_sums(self._worker, proc_final * self._io / dt, workers)
+        net_rate = _row_sums(
+            self._cross_worker,
+            out_recs_final[:, self._cross_src] * self._cross_share
+            * self._cross_outb / dt,
+            workers,
+        )
+        metrics.record_worker_block(cpu_util, io_rate, net_rate)
 
 
 class FluidSimulation:
@@ -303,9 +444,12 @@ class FluidSimulation:
         #: by its first leap.
         self._ff_cycle: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = None
         # Cached piecewise-constant source-target segment: the assembled
-        # per-task target array plus the first tick it no longer covers.
+        # per-task target array plus the first tick it no longer covers,
+        # with the array times dt and each job's target sum.
         self._target_arr: Optional[np.ndarray] = None
         self._target_until_tick = 0
+        self._target_dt: Optional[np.ndarray] = None
+        self._job_targets: Dict[str, float] = {}
         self._registry = registry
         #: Leap diagnostics (also mirrored as engine_leaps_total /
         #: engine_ticks_skipped_total registry counters).
@@ -338,6 +482,8 @@ class FluidSimulation:
             window_ticks=self.config.metrics_window_ticks,
             registry=registry,
         )
+        self._pending = _PendingRows(self)
+        self.metrics.settle_hook = self._pending.settle
 
     # ------------------------------------------------------------------
     # Setup
@@ -548,8 +694,10 @@ class FluidSimulation:
             job: np.concatenate([self._source_indices[k] for k in keys])
             for job, keys in self._job_sources.items()
         }
-        self._job_task_mask: Dict[str, np.ndarray] = {
-            job: self.job_idx == job_pos[job] for job in job_ids
+        # None for a single job, whose tasks are all of them.
+        self._job_task_mask: Dict[str, Optional[np.ndarray]] = {
+            job: None if len(job_ids) == 1 else self.job_idx == job_pos[job]
+            for job in job_ids
         }
 
     # ------------------------------------------------------------------
@@ -579,8 +727,11 @@ class FluidSimulation:
         Factors are remaining-capacity fractions in [0, 1] applied to
         the pristine baselines (idempotent, never cumulative). Dead
         workers keep a vanishing capacity floor — their *demand* is
-        zeroed in :meth:`step`, which is what stops their work.
+        zeroed in :meth:`step`, which is what stops their work. Pending
+        metric rows are derived first, under the capacities they were
+        recorded with.
         """
+        self._pending.settle(self.metrics)
         self.cpu_capacity = degraded_capacity(self._base_cpu_capacity, cpu_factor)
         self.disk.capacity = degraded_capacity(self._base_disk_capacity, disk_factor)
         self.nic.capacity = degraded_capacity(self._base_net_capacity, net_factor)
@@ -710,7 +861,7 @@ class FluidSimulation:
         else:
             cpu_eff = self.cpu
             cap = epoch.thread_cap
-        want = np.where(self.is_source, target * dt, self.queue)
+        want = np.where(self.is_source, self._target_dt, self.queue)
         want = np.minimum(want, cap)
         if epoch.alive_w is not None:
             # Tasks on dead workers process nothing; their sources still
@@ -781,10 +932,7 @@ class FluidSimulation:
         # integer-tick-count times dt so leap timestamps land on
         # bit-identical floats.
         tick_end_s = (self._tick_index + 1) * dt
-        self._record_metrics(
-            epoch, target, proc_final, out_recs_final, cpu_eff, grants, dt,
-            tick_end_s,
-        )
+        self._record_metrics(epoch, proc_final, cpu_eff, grants, dt, tick_end_s)
         if self.diagnosis is not None:
             self.diagnosis.observe_tick(
                 grants, target, throttles, proc_final, dt, self.time_s
@@ -797,63 +945,28 @@ class FluidSimulation:
     def _record_metrics(
         self,
         epoch: "_CapacityEpoch",
-        target: np.ndarray,
         proc_final: np.ndarray,
-        out_recs_final: np.ndarray,
         cpu_eff: np.ndarray,
         grants: Grants,
         dt: float,
         tick_end_s: float,
     ) -> None:
-        w = self.worker
-        service_time = cpu_eff / np.maximum(grants.cpu_scale_w, 1e-12)
-        service_time = service_time + self.io / np.maximum(
-            epoch.disk_w * grants.io_scale_w, 1e-12
-        )
-        service_time = service_time + self.cross_bytes_per_record / np.maximum(
-            epoch.nic_w * grants.net_scale_w, 1e-12
-        )
-        # The divisor is at least 1e-12, so nothing divides by zero.
-        true_rate = np.where(
-            service_time > 0, 1.0 / np.maximum(service_time, 1e-12), _HUGE_RATE
-        )
-        true_rate = np.minimum(true_rate, _HUGE_RATE)
-        observed = proc_final / dt
-        busy = np.clip(proc_final * service_time / dt, 0.0, 1.0)
-
+        noise = None
         if self.config.noise_std > 0:
-            noise = self._rng.normal(
-                1.0, self.config.noise_std, size=len(observed) * 2
-            )
-            observed = observed * np.clip(noise[: len(observed)], 0.5, 1.5)
-            true_rate = true_rate * np.clip(noise[len(observed) :], 0.5, 1.5)
-
-        self.metrics.record_task_tick(observed, true_rate, out_recs_final / dt, busy)
-        cpu_util = (
-            np.bincount(w, weights=proc_final * cpu_eff / dt, minlength=self._worker_count)
-            / self.cpu_capacity
-        )
-        io_rate = np.bincount(
-            w, weights=proc_final * self.io / dt, minlength=self._worker_count
-        )
-        net_rate = np.bincount(
-            self._cross_worker,
-            weights=(
-                out_recs_final[self._cross_src] * self._cross_share * self._cross_outb / dt
-            ),
-            minlength=self._worker_count,
-        )
-        self.metrics.record_worker_usage(cpu_util, io_rate, net_rate)
+            noise = self._rng.normal(1.0, self.config.noise_std, size=len(proc_final) * 2)
+        if self._pending.push(epoch, proc_final, cpu_eff, grants, noise):
+            self._pending.settle(self.metrics)
 
         tr = self.tracer
         for job_id in self._job_sources:
             idx = self._job_source_idx[job_id]
-            job_target = float(target[idx].sum())
+            job_target = self._job_targets[job_id]
             job_throughput = float(proc_final[idx].sum()) / dt
             backpressure = (
                 max(0.0, 1.0 - job_throughput / job_target) if job_target > 0 else 0.0
             )
-            queued = float(self.queue[self._job_task_mask[job_id]].sum())
+            mask = self._job_task_mask[job_id]
+            queued = float((self.queue if mask is None else self.queue[mask]).sum())
             # Little's-law latency estimate; floored at 1% of target so a
             # near-stalled tick reports a large-but-finite latency instead
             # of a divide-by-zero artefact.
@@ -1002,6 +1115,10 @@ class FluidSimulation:
             until = min(until, pattern_until)
         self._target_arr = target
         self._target_until_tick = until
+        self._target_dt = target * dt
+        self._job_targets = {
+            job: float(target[idx].sum()) for job, idx in self._job_source_idx.items()
+        }
 
     def _event_horizon_tick(self) -> Ticks:
         """First future tick whose inputs may differ from the cycle's.
@@ -1184,6 +1301,7 @@ class FluidSimulation:
         while self._tick_index < end_tick:
             if not (self._ff_enabled and self._try_leap(end_tick)):
                 self.step()
+        self._pending.settle(self.metrics)
 
     def worker_state_bytes(self) -> np.ndarray:
         """Accumulated state-backend bytes per worker (diagnostics)."""

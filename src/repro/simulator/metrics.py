@@ -10,7 +10,12 @@ the profiler) on demand.
 Storage is columnar: per-tick observations land in growable numpy
 buffers (amortised O(1) appends, no per-tick dataclass allocation), and
 the rolling task-rate window is one contiguous slice of a buffer twice
-its length. The engine's
+its length. Job-series rows arrive one per tick; task-window and
+worker-usage rows arrive in blocks of ticks (:meth:`record_task_block`,
+:meth:`record_worker_block`), which the engine derives from its pending
+raw rows. The collector calls its ``settle_hook`` before it reads
+those rows or replicates them, so a read always sees every tick. The
+engine's
 fast-forward mode extends every series analytically via
 :meth:`MetricsCollector.repeat_last` — the ticks of an exact cycle
 would have recorded bit-identical samples again, period after period,
@@ -21,7 +26,7 @@ exactly equal to tick-by-tick execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -95,6 +100,13 @@ class _ColumnStore:
         self._buf[self.rows] = values
         self.rows += 1
 
+    def extend(self, block: np.ndarray) -> None:
+        """Append the rows of ``block``, in order."""
+        count = len(block)
+        self._reserve(count)
+        self._buf[self.rows : self.rows + count] = block
+        self.rows += count
+
     def repeat_last(self, period: int, cycles: int) -> np.ndarray:
         """Append ``cycles`` copies of the last ``period`` rows, in
         order; returns the new block."""
@@ -140,20 +152,28 @@ class _TaskWindow:
             self._buf[:keep] = self._buf[end - keep : end]
             self._end = keep
 
-    def append(
+    def extend(
         self,
         observed: np.ndarray,
         true: np.ndarray,
         out: np.ndarray,
         busy: np.ndarray,
     ) -> None:
-        self._make_room(1, self._window - 1)
-        row = self._buf[self._end]
-        row[0] = observed
-        row[1] = true
-        row[2] = out
-        row[3] = busy
-        self._end += 1
+        """Append one row per tick of ``(k, n)`` blocks, in order; of
+        more than a window of rows only the last window's stay."""
+        window = self._window
+        if len(observed) > window:
+            observed, true, out, busy = (
+                observed[-window:], true[-window:], out[-window:], busy[-window:]
+            )
+        count = len(observed)
+        self._make_room(count, window - count)
+        block = self._buf[self._end : self._end + count]
+        block[:, 0] = observed
+        block[:, 1] = true
+        block[:, 2] = out
+        block[:, 3] = busy
+        self._end += count
 
     def repeat_last(self, period: int, cycles: int) -> None:
         """Append ``cycles`` copies of the last ``period`` rows, in order.
@@ -198,6 +218,13 @@ class MetricsCollector:
         registry: Optional :class:`~repro.observability.MetricRegistry`
             mirroring the latest per-job samples as labelled gauges and
             a tick counter; ``None`` (the default) records nothing.
+
+    Attributes:
+        settle_hook: Called with the collector before the task window
+            or the worker rows are read or replicated, and before a row
+            is recorded directly; the engine sets it to derive the rows
+            of the ticks it has not derived yet. ``None`` (the default)
+            when every row is recorded directly.
     """
 
     def __init__(
@@ -222,6 +249,11 @@ class MetricsCollector:
         self._worker_io: Optional[_ColumnStore] = None
         self._worker_net: Optional[_ColumnStore] = None
         self._task_window = _TaskWindow(window_ticks, len(self.task_uids))
+        self.settle_hook: Optional[Callable[["MetricsCollector"], None]] = None
+
+    def _settle(self) -> None:
+        if self.settle_hook is not None:
+            self.settle_hook(self)
 
     # ------------------------------------------------------------------
     # Recording (called by the engine once per tick)
@@ -268,7 +300,24 @@ class MetricsCollector:
         observed_output_rate: np.ndarray,
         busy_fraction: np.ndarray,
     ) -> None:
-        self._task_window.append(
+        """Per-task rates for one tick: a block of one."""
+        self._settle()
+        self.record_task_block(
+            np.asarray(observed_rate)[None],
+            np.asarray(true_rate)[None],
+            np.asarray(observed_output_rate)[None],
+            np.asarray(busy_fraction)[None],
+        )
+
+    def record_task_block(
+        self,
+        observed_rate: np.ndarray,
+        true_rate: np.ndarray,
+        observed_output_rate: np.ndarray,
+        busy_fraction: np.ndarray,
+    ) -> None:
+        """Per-task rates for ``k`` ticks, one ``(k, n)`` array each."""
+        self._task_window.extend(
             observed_rate, true_rate, observed_output_rate, busy_fraction
         )
 
@@ -278,15 +327,31 @@ class MetricsCollector:
         io_bytes_per_s: np.ndarray,
         net_bytes_per_s: np.ndarray,
     ) -> None:
-        """Per-worker resource usage for one tick (profiling inputs)."""
+        """Per-worker resource usage for one tick (profiling inputs): a
+        block of one."""
+        self._settle()
+        self.record_worker_block(
+            np.asarray(cpu_utilisation)[None],
+            np.asarray(io_bytes_per_s)[None],
+            np.asarray(net_bytes_per_s)[None],
+        )
+
+    def record_worker_block(
+        self,
+        cpu_utilisation: np.ndarray,
+        io_bytes_per_s: np.ndarray,
+        net_bytes_per_s: np.ndarray,
+    ) -> None:
+        """Per-worker resource usage for ``k`` ticks, one ``(k, workers)``
+        array each."""
         if self._worker_cpu is None:
-            workers = len(cpu_utilisation)
+            workers = cpu_utilisation.shape[1]
             self._worker_cpu = _ColumnStore(columns=workers)
             self._worker_io = _ColumnStore(columns=workers)
             self._worker_net = _ColumnStore(columns=workers)
-        self._worker_cpu.append(cpu_utilisation)
-        self._worker_io.append(io_bytes_per_s)
-        self._worker_net.append(net_bytes_per_s)
+        self._worker_cpu.extend(cpu_utilisation)
+        self._worker_io.extend(io_bytes_per_s)
+        self._worker_net.extend(net_bytes_per_s)
 
     def repeat_last(self, period: int, cycles: int, times: np.ndarray) -> None:
         """Extend every series by ``cycles`` repeats of its last
@@ -302,10 +367,12 @@ class MetricsCollector:
         the same way the per-tick path would: the tick counter by the
         skipped ticks, the latency histogram by the period's values in
         tick order, ``cycles`` times over; gauges already hold the
-        latest values, which a whole period ends on again.
+        latest values, which a whole period ends on again. Pending
+        rows are settled first, so the period's rows are all there.
         """
         if cycles <= 0:
             return
+        self._settle()
         registry = self.registry
         for job_id in self.job_ids:
             block = self._series[job_id].repeat_last(period, cycles)
@@ -333,6 +400,7 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     def task_rates(self) -> Dict[str, TaskRates]:
         """Windowed average rates per task uid."""
+        self._settle()
         if not self._task_window:
             raise RuntimeError("no task samples recorded yet")
         window = self._task_window.rows()
@@ -360,14 +428,17 @@ class MetricsCollector:
 
     def worker_cpu_utilisation(self, warmup_s: Seconds = 0.0, dt: SecondsPerTick = 1.0) -> np.ndarray:
         """Mean post-warmup CPU utilisation per worker."""
+        self._settle()
         return self._worker_mean(self._worker_cpu, warmup_s, dt)
 
     def worker_io_rate(self, warmup_s: Seconds = 0.0, dt: SecondsPerTick = 1.0) -> np.ndarray:
         """Mean post-warmup state-backend bytes/s per worker."""
+        self._settle()
         return self._worker_mean(self._worker_io, warmup_s, dt)
 
     def worker_net_rate(self, warmup_s: Seconds = 0.0, dt: SecondsPerTick = 1.0) -> np.ndarray:
         """Mean post-warmup outbound cross-worker bytes/s per worker."""
+        self._settle()
         return self._worker_mean(self._worker_net, warmup_s, dt)
 
     # ------------------------------------------------------------------

@@ -47,9 +47,7 @@ class DiskModel:
         """
         per_task_capacity = self.capacity[task_worker]
         heavy = task_demand > self.config.heavy_writer_share * per_task_capacity
-        return np.bincount(
-            task_worker[heavy], minlength=len(self.capacity)
-        ).astype(float)
+        return np.bincount(task_worker[heavy], minlength=len(self.capacity))
 
     def effective_capacity(self, heavy_writers: np.ndarray) -> np.ndarray:
         """Disk capacity after compaction interference."""
