@@ -82,12 +82,9 @@ def _grant(demand: np.ndarray, capacity: np.ndarray) -> np.ndarray:
     """Grant fraction ``capacity / max(demand, capacity)``, unchecked.
 
     Where the demand fits, the divisor is the capacity itself, and
-    ``x / x`` is exactly 1.0 for a finite positive ``x``; elsewhere it
-    is ``capacity / demand``. So for a finite positive capacity and a
-    non-NaN demand this equals the masked form it replaces (ones, then
-    ``capacity / demand`` where ``demand > capacity``); only a NaN
-    demand or an infinite capacity, which no tick produces, gives NaN
-    instead of 1.0.
+    ``x / x`` is exactly 1.0 for a finite positive ``x``; elsewhere the
+    grant is ``capacity / demand``. A NaN demand or an infinite
+    capacity, which no tick produces, gives NaN rather than 1.0.
     """
     return capacity / np.maximum(demand, capacity)
 

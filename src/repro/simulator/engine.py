@@ -258,9 +258,10 @@ class _PendingRows:
     stream is unchanged). :meth:`settle` derives the task-window rows
     (observed, true and output rates, busy fraction) and the worker
     usage rows of every pending tick in one pass over the ``(k, n)``
-    block, with the element-wise expressions a tick used to apply to
-    its own row, and appends them to the collector; so no derived float
-    moves.
+    block and appends them to the collector. Every expression is
+    element-wise per row, and each worker sum adds its row's values in
+    task order from 0.0, so a row's values do not depend on how many
+    ticks one settle derives.
 
     The derivation reads the capacities of the epoch the rows were
     recorded in, so the engine settles before a capacity changes, when
