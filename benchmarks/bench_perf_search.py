@@ -15,7 +15,8 @@ b. **Partitioned search** — the sequential search vs a process pool
 c. **Plan-evaluation cache** — a Figure 7-style repeated-run sweep
    (deterministic CAPS placement simulated ``RUNS`` times) cold
    (``cache=None``) vs warm (a fresh cache), with byte-identical
-   summaries.
+   summaries. The placement memo is cleared before each sweep, so both
+   pay for one CAPS search and the section times the plan cache alone.
 
 Results are printed and merged into ``BENCH_perf.json`` in the working
 directory as three sections, each labelled with the commit and the
@@ -47,6 +48,7 @@ from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
 from repro.experiments.runner import strategy_box_runs
 from repro.placement import CapsStrategy
+from repro.placement.caps import clear_placement_memo
 from repro.simulator.plan_cache import PlanEvaluationCache
 from repro.workloads import q3_inf, query_by_name
 
@@ -223,6 +225,9 @@ def bench_plan_cache(smoke: bool) -> dict:
     rates = {(graph.job_id, op): rate for op in graph.sources()}
 
     def sweep(cache):
+        # Each sweep pays for one CAPS search, so the two differ only in
+        # the plan cache.
+        clear_placement_memo()
         strategy = CapsStrategy(rates)
         return strategy_box_runs(
             graph, cluster, strategy, rate,

@@ -1,8 +1,10 @@
-"""KEY: cache-key completeness analysis for the plan-evaluation cache.
+"""KEY: cache-key completeness analysis for the two content-keyed caches.
 
 ``repro.simulator.plan_cache`` memoises simulation summaries by a
-content fingerprint. The cache is sound only while the fingerprint
-covers *everything the simulator can observe*; a field added to a
+content fingerprint, and ``repro.placement.caps`` memoises CAPS
+placement decisions by a second one (``placement_fingerprint``). Each
+cache is sound only while its fingerprint covers *everything the
+computation it skips can observe*; a field added to a
 cluster/workload/config type but not folded into the fingerprint makes
 two semantically different inputs collide — the worst possible cache
 bug, because it silently returns wrong results. These rules make that
@@ -17,8 +19,10 @@ a build failure instead:
   reading ``physical.spec_of`` covers ``logical_graphs``.
 - **KEY002** — signature parity: every parameter of the simulator's
   constructor/run entry points must map (directly or via an alias) to a
-  parameter of ``simulation_fingerprint``, so a new engine knob cannot
-  bypass the key.
+  parameter of ``simulation_fingerprint``, and every parameter of
+  ``CapsStrategy.__init__``/``place`` to one of
+  ``placement_fingerprint``, so a new engine or strategy knob cannot
+  bypass its key.
 - **KEY003** — every type folded into the fingerprint through the
   generic dataclass encoder must remain a ``@dataclass(frozen=True)``:
   frozen-ness is what makes field-wise encoding a faithful content
@@ -119,6 +123,23 @@ DEFAULT_KEY_SPEC = KeySpec(
             # resource profile, reached via spec_of(task).
             covers={"logical_graphs": ("spec_of",)},
         ),
+        CanonCoverageSpec(
+            canon_module="repro.simulator.plan_cache",
+            canon_func="_canon_cluster",
+            target_module="repro.dataflow.cluster",
+            target_class="Cluster",
+            param="cluster",
+        ),
+        CanonCoverageSpec(
+            canon_module="repro.simulator.plan_cache",
+            canon_func="_canon_costs",
+            target_module="repro.core.cost_model",
+            target_class="TaskCosts",
+            param="costs",
+            # The placement key encodes the graph the costs belong to
+            # through _canon_physical, next to this helper's output.
+            ignore=("physical",),
+        ),
     ),
     parity=(
         SignatureParitySpec(
@@ -130,6 +151,17 @@ DEFAULT_KEY_SPEC = KeySpec(
             # Observability sinks record the simulation; they never feed
             # back into it, so fingerprint collisions across tracer or
             # registry values are correct (same dynamics, same summary).
+            ignore=("self", "tracer", "registry"),
+        ),
+        SignatureParitySpec(
+            fingerprint_module="repro.simulator.plan_cache",
+            fingerprint_func="placement_fingerprint",
+            target_module="repro.placement.caps",
+            target_funcs=("CapsStrategy.__init__", "CapsStrategy.place"),
+            # The source rates and the unit-cost provider reach the
+            # decision only through the TaskCosts they produce.
+            alias={"source_rates": "costs", "unit_costs_provider": "costs"},
+            # Observability sinks record a placement and never feed it.
             ignore=("self", "tracer", "registry"),
         ),
     ),
@@ -149,6 +181,9 @@ DEFAULT_KEY_SPEC = KeySpec(
         FrozenDataclassSpec(
             module="repro.dataflow.graph",
             classes=("OperatorSpec", "GcSpikeProfile"),
+        ),
+        FrozenDataclassSpec(
+            module="repro.core.cost_model", classes=("CostVector",)
         ),
         FrozenDataclassSpec(
             module="repro.workloads.rates",
@@ -407,7 +442,7 @@ def _check_parity(
                             f"{qualname} parameter {param!r} has no "
                             f"counterpart in {spec.fingerprint_func}; a "
                             "knob the fingerprint ignores makes distinct "
-                            "simulations collide in the cache"
+                            "inputs collide in the cache"
                         ),
                     )
                 )
@@ -441,7 +476,7 @@ def _check_frozen(
                     path=src.relpath,
                     line=cls.lineno,
                     message=(
-                        f"{class_name} is folded into the simulation "
+                        f"{class_name} is folded into a cache "
                         f"fingerprint but is {what}; it must be "
                         "@dataclass(frozen=True) for field-wise content "
                         "hashing to be faithful"

@@ -15,8 +15,12 @@ plan the deployment admits. The auto-tuner finds it in two phases:
 Both phases use a configurable relaxation factor (the paper uses 1.1 for
 both) and an overall timeout for early exit on infeasible configurations.
 Because the result depends only on the query graph and the resources, the
-paper precomputes thresholds for candidate scaling scenarios offline;
-:func:`precompute_thresholds` implements that.
+paper precomputes thresholds for candidate scaling scenarios offline and
+looks them up when scaling triggers. Here
+:class:`~repro.placement.caps.CapsStrategy` memoises each whole
+placement decision, tuned thresholds included, for the life of the
+process: placing a scenario once is the precomputation, and placing it
+again is the lookup.
 
 **Bisection over the paper's sequences.** Each phase walks a fixed
 candidate sequence (:meth:`ThresholdAutoTuner.phase1_candidates` and
@@ -40,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar,
+    Callable, Dict, List, Mapping, Optional, Sequence, TypeVar,
 )
 
 from repro.observability import clock
@@ -280,23 +284,3 @@ class _Probes:
 class _TimeoutSignal(Exception):
     """Raised internally when the overall auto-tune deadline passes."""
 
-
-def precompute_thresholds(
-    scenarios: Iterable[Tuple[str, CostModel]],
-    timeout_s: float = 5.0,
-    **tuner_kwargs,
-) -> Dict[str, AutoTuneResult]:
-    """Offline threshold precomputation over candidate scaling scenarios.
-
-    The paper notes (section 5.2) that auto-tuning depends only on the
-    query graph and the available resources, so thresholds for plausible
-    parallelism combinations can be computed offline and looked up when
-    scaling triggers at runtime. ``scenarios`` maps a scenario label
-    (e.g. a serialised parallelism vector) to the cost model describing
-    it; the result maps each label to its tuned thresholds.
-    """
-    results: Dict[str, AutoTuneResult] = {}
-    for label, cost_model in scenarios:
-        tuner = ThresholdAutoTuner(cost_model, timeout_s=timeout_s, **tuner_kwargs)
-        results[label] = tuner.tune()
-    return results

@@ -6,10 +6,23 @@ the experiment harness can swap strategies freely. This is the
 "placement controller" role of the CAPSys architecture (paper Figure 6,
 step 4) minus the DS2 coupling, which lives in
 :class:`repro.controller.capsys.CAPSysController`.
+
+A decision depends only on the placement problem: the physical graph,
+the cluster, the task costs and the strategy's parameters. The paper
+(section 5.2) therefore precomputes tuned thresholds for candidate
+scaling scenarios and looks them up at rescale time. This module
+memoises whole decisions for the life of the process instead: a
+problem placed before, keyed by
+:func:`repro.simulator.plan_cache.placement_fingerprint`, returns the
+stored plan, thresholds, explanation and fallback stage without tuning
+or searching again. Only decisions that no wall-clock budget cut are
+stored, so a hit returns what a recompute on an unloaded host would.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Tuple, Union
 
 from repro.dataflow.cluster import Cluster
@@ -19,13 +32,38 @@ from repro.core.greedy import greedy_balanced_plan, greedy_threshold_seed
 from repro.core.cost_model import CostModel, CostVector, TaskCosts
 from repro.core.parallel import run_search
 from repro.core.plan import PlacementPlan
-from repro.core.search import CapsSearch, SearchLimits
+from repro.core.search import CapsSearch, SearchLimits, SearchStats
 from repro.diagnosis.explain import Explanation, explain_placement
 from repro.observability import MetricRegistry, NULL_TRACER, Tracer, clock
 from repro.placement.base import PlacementStrategy
 from repro.placement.flink_evenly import FlinkEvenlyStrategy
+from repro.simulator.plan_cache import placement_fingerprint
 
 RateMap = Mapping[Tuple[str, str], float]
+
+#: Decisions the placement memo keeps; the least recently used goes first.
+MEMO_CAPACITY = 256
+
+
+@dataclass(frozen=True)
+class _Decision:
+    """One memoised placement and the diagnostics ``place`` reports with it."""
+
+    plan: PlacementPlan
+    thresholds: CostVector
+    fallback: Optional[str]
+    explanation: Explanation
+    search_stats: SearchStats
+
+
+#: Process-wide placement memo, fingerprint -> decision in LRU order.
+#: Single-threaded like the plan-evaluation cache: nothing starts a thread.
+_MEMO: "OrderedDict[str, _Decision]" = OrderedDict()
+
+
+def clear_placement_memo() -> None:
+    """Forget every memoised decision, as a fresh process would."""
+    _MEMO.clear()
 
 
 class CapsStrategy(PlacementStrategy):
@@ -44,15 +82,18 @@ class CapsStrategy(PlacementStrategy):
         autotune_timeout_s: Budget for the auto-tuning phase.
         search_timeout_s: Budget for the final pareto search.
         tracer: Optional :class:`~repro.observability.Tracer`; each
-            placement emits wall-domain ``caps.autotune`` and
+            computed placement emits wall-domain ``caps.autotune`` and
             ``caps.search`` spans plus one ``caps.search.layer`` event
             per search depth (completions and net prunes from
-            :class:`~repro.core.search.SearchStats`).
+            :class:`~repro.core.search.SearchStats`); a placement
+            answered from the memo emits one ``caps.memo`` event.
         registry: Optional :class:`~repro.observability.MetricRegistry`
             accumulating search work counters across placements. Pool
             workers ship their counters back through the
             :class:`~repro.core.search.SearchStats` merge, so the
-            registry sees exact totals whatever ``jobs`` is.
+            registry sees exact totals whatever ``jobs`` is. Memo hits
+            do no search work; ``caps_placement_memo_hits_total`` counts
+            them.
     """
 
     name = "caps"
@@ -87,7 +128,10 @@ class CapsStrategy(PlacementStrategy):
         #: Diagnostics from the most recent placement call.
         self.last_cost_model: Optional[CostModel] = None
         self.last_thresholds: Optional[CostVector] = None
-        self.last_search_stats = None
+        #: Stats of the final search behind the most recent decision. On
+        #: a memo hit, a copy of those of the search that produced the
+        #: stored decision: no search ran for the hit itself.
+        self.last_search_stats: Optional[SearchStats] = None
         #: Fallback stage taken by the most recent placement call:
         #: ``None`` (search or warm start produced the plan normally),
         #: ``"greedy"`` (search found zero satisfying plans — timed out
@@ -120,6 +164,78 @@ class CapsStrategy(PlacementStrategy):
         costs = self._task_costs(physical)
         cost_model = CostModel(physical, cluster, costs)
         self.last_cost_model = cost_model
+        tr = self.tracer if self.tracer is not None else NULL_TRACER
+        key = placement_fingerprint(
+            physical,
+            cluster,
+            costs,
+            thresholds=self.thresholds,
+            reorder=self.reorder,
+            jobs=self.jobs,
+            autotune_timeout_s=self.autotune_timeout_s,
+            autotune_probe_timeout_s=self.autotune_probe_timeout_s,
+            autotune_task_limit=self.autotune_task_limit,
+            search_timeout_s=self.search_timeout_s,
+        )
+        stored = _MEMO.get(key) if key is not None else None
+        if stored is not None:
+            _MEMO.move_to_end(key)
+            self._replay(stored, tr)
+            return stored.plan
+        plan, budget_cut = self._decide(physical, cluster, cost_model, tr)
+        if key is not None and not budget_cut:
+            _MEMO[key] = _Decision(
+                plan=plan,
+                thresholds=self.last_thresholds,
+                fallback=self.last_fallback,
+                explanation=self.last_explanation,
+                search_stats=replace(self.last_search_stats),
+            )
+            while len(_MEMO) > MEMO_CAPACITY:
+                _MEMO.popitem(last=False)
+        return plan
+
+    def _replay(self, stored: _Decision, tr: Tracer) -> None:
+        """Report a memoised decision: its outcome, not the work behind it.
+
+        The fallback observation runs again, because
+        ``caps_placement_fallback_total`` counts placements by outcome.
+        The autotune and search spans, the layer events and the
+        ``caps_search_*_total`` counters do not: they count work done.
+        """
+        self.last_thresholds = stored.thresholds
+        self.last_search_stats = replace(stored.search_stats)
+        self.last_explanation = stored.explanation
+        if tr.enabled:
+            tr.event(
+                "wall",
+                "caps.memo",
+                clock.monotonic(),
+                cat="search",
+                args={"chosen": stored.explanation.chosen},
+            )
+        if self.registry is not None:
+            self.registry.counter(
+                "caps_placement_memo_hits_total",
+                help="Placements answered from the placement memo.",
+            ).inc()
+        if stored.fallback is not None:
+            self._observe_fallback(stored.fallback, tr)
+
+    def _decide(
+        self,
+        physical: PhysicalGraph,
+        cluster: Cluster,
+        cost_model: CostModel,
+        tr: Tracer,
+    ) -> Tuple[PlacementPlan, bool]:
+        """Tune, search and pick a plan; also whether a budget cut the work.
+
+        The flag is set when the autotune timed out or truncated a probe
+        (a node-capped probe counts too), or when the final search did
+        not exhaust its space: such a decision may depend on host speed.
+        """
+        budget_cut = False
         insensitive = set(cost_model.insensitive_dimensions())
         weights = {d: (0.01 if d in insensitive else 1.0) for d in ("cpu", "io", "net")}
 
@@ -149,7 +265,6 @@ class CapsStrategy(PlacementStrategy):
                     search_timeout_s=self.autotune_probe_timeout_s,
                     reorder=self.reorder,
                 )
-                tr = self.tracer if self.tracer is not None else NULL_TRACER
                 with tr.wall_span("caps.autotune", cat="search") as span:
                     tuned = tuner.tune()
                     span.set(
@@ -158,6 +273,7 @@ class CapsStrategy(PlacementStrategy):
                         timed_out=tuned.timed_out,
                         feasible=tuned.feasible,
                     )
+                budget_cut = tuned.timed_out or tuned.truncated_probes > 0
                 if tuned.timed_out:
                     thresholds = seed
                 else:
@@ -183,7 +299,6 @@ class CapsStrategy(PlacementStrategy):
             selection_weights=weights,
         )
         limits = SearchLimits(timeout_s=self.search_timeout_s)
-        tr = self.tracer if self.tracer is not None else NULL_TRACER
         with tr.wall_span("caps.search", cat="search", jobs=self.jobs) as span:
             result = run_search(
                 search, limits, jobs=self.jobs, registry=self.registry
@@ -201,6 +316,7 @@ class CapsStrategy(PlacementStrategy):
             )
         self.last_search_stats = stats
         self._observe_search(search, stats, tr)
+        budget_cut = budget_cut or not stats.exhausted
         if result.best_plan is not None and result.best_cost is not None:
             if greedy_plan is None or result.best_cost.weighted_total(
                 weights
@@ -219,7 +335,7 @@ class CapsStrategy(PlacementStrategy):
                         else "pareto search found the only feasible plan"
                     ),
                 )
-                return result.best_plan
+                return result.best_plan, budget_cut
             self.last_explanation = explain_placement(
                 "greedy",
                 weights,
@@ -230,7 +346,7 @@ class CapsStrategy(PlacementStrategy):
                 plans_explored=stats.plans_found,
                 reason="greedy warm start was no worse than the best search plan",
             )
-            return greedy_plan
+            return greedy_plan, budget_cut
         # Fallback chain: the search found zero satisfying plans (timed
         # out, or the thresholds are infeasible on this — possibly
         # fault-degraded — cluster). Degrade to the best-so-far greedy
@@ -248,7 +364,7 @@ class CapsStrategy(PlacementStrategy):
                 fallback_stage="greedy",
                 reason="search found no satisfying plan within budget",
             )
-            return greedy_plan
+            return greedy_plan, budget_cut
         self._observe_fallback("evenly", tr)
         plan = FlinkEvenlyStrategy(seed=0).place(physical, cluster)
         try:
@@ -264,7 +380,7 @@ class CapsStrategy(PlacementStrategy):
             fallback_stage="evenly",
             reason="neither search nor greedy produced a feasible plan",
         )
-        return plan
+        return plan, budget_cut
 
     def _observe_fallback(self, stage: str, tr: Tracer) -> None:
         self.last_fallback = stage

@@ -2,37 +2,26 @@
 
 Only *outbound cross-worker* traffic consumes a worker's NIC bandwidth,
 matching the paper's network-load definition (Eq. 8): intra-worker
-channels are memory copies. Oversubscription is resolved with the same
-convex proportional-sharing primitive as the other resources.
+channels are memory copies. :class:`NicModel` holds the per-worker
+outbound capacities; the grant itself is computed by
+:func:`repro.simulator.contention.share_resources`, which shares the
+NIC work-conservingly (the link serialises frames, so no concurrency
+penalty applies, only bandwidth division).
 
 The paper's network-contention experiment (Figure 3c) caps worker
-bandwidth at 1 Gbps; :meth:`NicModel.capped` produces that configuration.
+bandwidth at 1 Gbps; ``FluidSimulation(network_cap_bytes_per_s=...)``
+builds its NIC model with every worker at that cap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.simulator.contention import proportional_scale
-
 
 class NicModel:
-    """Per-worker outbound network contention model."""
+    """Per-worker outbound network capacities, in bytes/s."""
 
     def __init__(self, capacity: np.ndarray) -> None:
         self.capacity = np.asarray(capacity, dtype=float)
         if np.any(self.capacity <= 0):
             raise ValueError("NIC capacities must be positive")
-
-    @classmethod
-    def capped(cls, worker_count: int, bandwidth_bytes_per_s: float) -> "NicModel":
-        """A homogeneous NIC model with every worker capped at one rate."""
-        return cls(np.full(worker_count, float(bandwidth_bytes_per_s)))
-
-    def scale(self, outbound_demand: np.ndarray) -> np.ndarray:
-        """Per-worker grant fractions for outbound traffic (bytes/s).
-
-        NIC sharing is work-conserving: the link serialises frames, so
-        no concurrency penalty applies — only bandwidth division.
-        """
-        return proportional_scale(outbound_demand, self.capacity)

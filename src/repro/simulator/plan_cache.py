@@ -30,6 +30,16 @@ encoder does not understand (e.g. a hand-written rate callable) yield
 ``None`` and silently bypass the cache — caching is an optimisation,
 never a correctness requirement. Cached summaries are copied on both
 store and fetch so callers can never mutate a shared entry.
+
+The same encoder keys the CAPS placement memo
+(:mod:`repro.placement.caps`): :func:`placement_fingerprint` hashes one
+placement problem — the physical graph with its task and channel order,
+the cluster's workers *by id* (a plan names worker ids, so unlike the
+simulation key it is not taken up to worker renaming), the per-task
+costs, and the strategy's parameters.
+
+Both caches are single-threaded: nothing in the package starts a
+thread, so neither takes a lock.
 """
 
 from __future__ import annotations
@@ -37,12 +47,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import threading
 from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.dataflow.cluster import Cluster
 from repro.dataflow.physical import PhysicalGraph
+from repro.core.cost_model import CostVector, TaskCosts
 from repro.core.plan import PlacementPlan
 from repro.observability import NULL_TRACER, MetricRegistry, Tracer
 from repro.simulator.engine import FluidSimulation, SimulationConfig
@@ -174,6 +184,85 @@ def simulation_fingerprint(
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
+def _canon_cluster(cluster: Cluster) -> Any:
+    """The cluster with its worker ids, in id order, and the link latency.
+
+    Plans name workers by id, so this encoding is *not* taken up to
+    worker renaming: swapping two workers' specs changes it.
+    """
+    memo: Dict[int, Any] = {}
+    return (
+        "cluster",
+        tuple(
+            (worker.worker_id, _canon(worker.spec, memo))
+            for worker in cluster.workers
+        ),
+        ("link_latency", _canon(cluster.link_latency_s)),
+    )
+
+
+def _canon_costs(costs: TaskCosts) -> Any:
+    """Per-task utilisations and input rates of a CAPS problem.
+
+    They are computed from the unit costs and the source rates, so
+    neither the unit-cost provider nor the rates need encoding. The
+    physical graph the costs belong to is keyed by its own encoding.
+    """
+    return (
+        "costs",
+        _canon(costs.u_cpu),
+        _canon(costs.u_io),
+        _canon(costs.u_net),
+        _canon(costs.in_rates),
+    )
+
+
+def placement_fingerprint(
+    physical: PhysicalGraph,
+    cluster: Cluster,
+    costs: TaskCosts,
+    thresholds: Optional[Union[CostVector, Mapping[str, float]]],
+    reorder: bool,
+    jobs: int,
+    autotune_timeout_s: Optional[float],
+    autotune_probe_timeout_s: Optional[float],
+    autotune_task_limit: int,
+    search_timeout_s: Optional[float],
+) -> Optional[str]:
+    """Content hash of one CAPS placement problem, or None when uncacheable.
+
+    Covers everything ``CapsStrategy.place`` reads: the workload (with
+    the task and channel order, which fixes the search's exploration
+    order and tie-breaks), the cluster by worker id, the task costs, and
+    the strategy's parameters. ``jobs`` stays in the key because the
+    pool reports different search stats (``partitions``).
+    """
+    try:
+        payload = (
+            _canon_physical(physical),
+            (
+                "order",
+                tuple(task.uid for task in physical.tasks),
+                tuple((ch.src.uid, ch.dst.uid) for ch in physical.channels),
+            ),
+            _canon_cluster(cluster),
+            _canon_costs(costs),
+            (
+                "strategy",
+                ("thresholds", _canon(thresholds)),
+                ("reorder", _canon(reorder)),
+                ("jobs", _canon(jobs)),
+                ("autotune_timeout_s", _canon(autotune_timeout_s)),
+                ("autotune_probe_timeout_s", _canon(autotune_probe_timeout_s)),
+                ("autotune_task_limit", _canon(autotune_task_limit)),
+                ("search_timeout_s", _canon(search_timeout_s)),
+            ),
+        )
+    except _Uncacheable:
+        return None
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+
+
 def _copy_summary(summary: SimulationSummary) -> SimulationSummary:
     """Fresh summary sharing only immutable JobSummary values."""
     return SimulationSummary(
@@ -186,11 +275,10 @@ def _copy_summary(summary: SimulationSummary) -> SimulationSummary:
 class PlanEvaluationCache:
     """LRU map from simulation fingerprints to summaries.
 
-    Thread-safe: one instance — the module-level :data:`DEFAULT_CACHE`
-    above all — may be shared by callers on several threads, so every
-    access to the LRU order and the hit/miss counters happens under one
-    internal lock (``tests/test_plan_cache.py`` runs four threads
-    against one cache).
+    Single-threaded: nothing in the package starts a thread, so the LRU
+    order and the hit/miss counters are updated without a lock. Share
+    an instance (the module-level :data:`DEFAULT_CACHE` above all)
+    between threads only behind the caller's own lock.
     """
 
     def __init__(
@@ -201,7 +289,6 @@ class PlanEvaluationCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._lock = threading.Lock()
         self._entries: "OrderedDict[str, SimulationSummary]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -222,74 +309,69 @@ class PlanEvaluationCache:
         the registry counters are cumulative and a re-bind would
         double-count the carried history.
         """
-        with self._lock:
-            self._m_hits = registry.counter(
-                "plan_cache_hits_total", help="Plan-evaluation cache hits."
-            )
-            self._m_misses = registry.counter(
-                "plan_cache_misses_total", help="Plan-evaluation cache misses."
-            )
-            self._m_evictions = registry.counter(
-                "plan_cache_evictions_total",
-                help="Entries evicted by the LRU capacity bound.",
-            )
-            self._g_size = registry.gauge(
-                "plan_cache_entries", help="Entries currently cached."
-            )
-            registry.gauge(
-                "plan_cache_capacity", help="Configured LRU capacity."
-            ).set(self.capacity)
-            self._m_hits.inc(self.hits)
-            self._m_misses.inc(self.misses)
-            self._m_evictions.inc(self.evictions)
-            self._g_size.set(len(self._entries))
+        self._m_hits = registry.counter(
+            "plan_cache_hits_total", help="Plan-evaluation cache hits."
+        )
+        self._m_misses = registry.counter(
+            "plan_cache_misses_total", help="Plan-evaluation cache misses."
+        )
+        self._m_evictions = registry.counter(
+            "plan_cache_evictions_total",
+            help="Entries evicted by the LRU capacity bound.",
+        )
+        self._g_size = registry.gauge(
+            "plan_cache_entries", help="Entries currently cached."
+        )
+        registry.gauge(
+            "plan_cache_capacity", help="Configured LRU capacity."
+        ).set(self.capacity)
+        self._m_hits.inc(self.hits)
+        self._m_misses.inc(self.misses)
+        self._m_evictions.inc(self.evictions)
+        self._g_size.set(len(self._entries))
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot taken atomically with the LRU state."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "size": len(self._entries),
-                "capacity": self.capacity,
-            }
+        """Snapshot of the counters and the LRU size."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "size": len(self._entries),
+            "capacity": self.capacity,
+        }
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def lookup(self, fingerprint: Optional[str]) -> Optional[SimulationSummary]:
         if fingerprint is None:
             return None
-        with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
-                self.misses += 1
-                if self._m_misses is not None:
-                    self._m_misses.inc()
-                return None
-            self._entries.move_to_end(fingerprint)
-            self.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
-            return _copy_summary(entry)
+        entry = self._entries.get(fingerprint)
+        if entry is None:
+            self.misses += 1
+            if self._m_misses is not None:
+                self._m_misses.inc()
+            return None
+        self._entries.move_to_end(fingerprint)
+        self.hits += 1
+        if self._m_hits is not None:
+            self._m_hits.inc()
+        return _copy_summary(entry)
 
     def store(
         self, fingerprint: Optional[str], summary: SimulationSummary
     ) -> None:
         if fingerprint is None:
             return
-        with self._lock:
-            self._entries[fingerprint] = _copy_summary(summary)
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                if self._m_evictions is not None:
-                    self._m_evictions.inc()
-            if self._g_size is not None:
-                self._g_size.set(len(self._entries))
+        self._entries[fingerprint] = _copy_summary(summary)
+        self._entries.move_to_end(fingerprint)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+            if self._m_evictions is not None:
+                self._m_evictions.inc()
+        if self._g_size is not None:
+            self._g_size.set(len(self._entries))
 
     def clear(self) -> None:
         """Drop all entries and reset the instance counters.
@@ -297,13 +379,12 @@ class PlanEvaluationCache:
         Bound registry counters are cumulative by contract and are not
         rewound; only the size gauge follows the cleared state.
         """
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-            if self._g_size is not None:
-                self._g_size.set(0)
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        if self._g_size is not None:
+            self._g_size.set(0)
 
 
 #: Process-wide default cache, selected by passing ``cache="default"``

@@ -7,7 +7,7 @@ import pytest
 from repro.dataflow.cluster import Cluster, M5D_2XLARGE, R5D_XLARGE, WorkerSpec
 from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.dataflow.physical import PhysicalGraph
-from repro.core.autotune import AutoTuneResult, ThresholdAutoTuner, precompute_thresholds
+from repro.core.autotune import ThresholdAutoTuner
 from repro.core.cost_model import CostModel, TaskCosts
 from repro.core.search import CapsSearch, SearchLimits
 from repro.workloads import query_by_name
@@ -120,20 +120,6 @@ class TestValidation:
             ThresholdAutoTuner(model, initial_alpha=0.0)
         with pytest.raises(ValueError):
             ThresholdAutoTuner(model, timeout_s=0.0)
-
-
-class TestPrecompute:
-    def test_precompute_covers_scenarios(self):
-        """Offline precomputation over scaling scenarios (section 5.2)."""
-        scenarios = [
-            ("win=3", make_model(window_parallelism=3)),
-            ("win=4", make_model(window_parallelism=4)),
-        ]
-        results = precompute_thresholds(scenarios, timeout_s=10.0)
-        assert set(results) == {"win=3", "win=4"}
-        for label, result in results.items():
-            assert isinstance(result, AutoTuneResult)
-            assert result.feasible
 
 
 def preset_model(name, spec, count):

@@ -140,7 +140,7 @@ CLEAN = {
     "events": "c413a7f6bd6b22a7",
     "guard": "af5d8a21858f4280",
     "trace": "75461794e81ff3d2",
-    "metrics": "0c5b8ccdf7be6d0e",
+    "metrics": "fe97501eec00f3fb",
     "diagnosis": "2e137f8b25f6540d",
 }
 
@@ -191,7 +191,7 @@ PINS = {
             "events": "c413a7f6bd6b22a7",
             "guard": "bcbdafaeca84eab3",
             "trace": "d7b1aa1400346e66",
-            "metrics": "e2747b6c770861a3",
+            "metrics": "316aa768c2c48cde",
             "diagnosis": "273a240eff6c4dcc",
         },
     ),
@@ -216,7 +216,7 @@ PINS = {
         {
             "outcomes": "ad874ad22b5c288d",
             "trace": "eab6d37dfe80d70d",
-            "metrics": "54a062e11ccff2be",
+            "metrics": "f00cb5c461183f88",
         },
     ),
 }

@@ -358,31 +358,6 @@ class TestFingerprintFieldCoverage:
         assert reference == fast
 
 
-class TestCacheThreadSafety:
-    def test_concurrent_store_and_lookup_keep_counters_consistent(self):
-        import threading
-
-        cache = PlanEvaluationCache(capacity=8)
-        summary = SimulationSummary(jobs={}, duration_s=1.0, warmup_s=0.0)
-        rounds = 300
-
-        def worker(tag):
-            for i in range(rounds):
-                key = f"{tag}-{i % 16}"
-                if cache.lookup(key) is None:
-                    cache.store(key, summary)
-
-        threads = [
-            threading.Thread(target=worker, args=(t % 2,)) for t in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(cache) <= 8
-        assert cache.hits + cache.misses == 4 * rounds
-
-
 def _preset_input(names, workers, rate_scale, pattern=None):
     """A merged preset deployment, round-robin on ``workers`` m5d workers."""
     graphs = [query_by_name(name).build() for name in names]
