@@ -123,22 +123,17 @@ def _unit_costs(physical):
 BASE_RATES = {("g", "src"): 1000.0}
 
 
-def _problem(**change):
-    """The base problem, with one input changed by keyword."""
-    physical = change.get("physical") or _two_stage()
-    cluster = change.get("cluster") or Cluster(
+def _problem(
+    physical=None, cluster=None, unit_costs=None, rates=BASE_RATES, **strategy_kwargs
+):
+    """The base problem, with the inputs given by keyword changed."""
+    physical = physical or _two_stage()
+    cluster = cluster or Cluster(
         [Worker(0, M5D_2XLARGE.with_slots(4)), Worker(1, R5D_XLARGE)]
     )
-    unit_costs = change.get("unit_costs") or _unit_costs(physical)
-    kwargs = {
-        key: value
-        for key, value in change.items()
-        if key not in ("physical", "cluster", "unit_costs", "rates")
-    }
+    unit_costs = unit_costs or _unit_costs(physical)
     strategy = CapsStrategy(
-        change.get("rates", BASE_RATES),
-        unit_costs_provider=lambda p: unit_costs,
-        **kwargs,
+        rates, unit_costs_provider=lambda p: unit_costs, **strategy_kwargs
     )
     return physical, cluster, strategy
 
@@ -150,10 +145,6 @@ def _nudged_unit_costs():
         win, cpu_per_record=math.nextafter(win.cpu_per_record, math.inf)
     )
     return unit_costs
-
-
-def _merged(first, second):
-    return PhysicalGraph.merge([_two_stage(first), _two_stage(second)])
 
 
 VARIANTS = {
@@ -229,14 +220,6 @@ class TestSensitivity:
         strategy.place(physical, cluster)
         assert search_runs, f"changing {name} returned the stored decision"
 
-    def test_merge_order_is_part_of_the_key(self):
-        strategy = CapsStrategy(
-            {("a", "src"): 1000.0, ("b", "src"): 1000.0}
-        )
-        cluster = Cluster.homogeneous(M5D_2XLARGE.with_slots(4), count=2)
-        ab, ba = _merged("a", "b"), _merged("b", "a")
-        assert _key(ab, cluster, strategy) != _key(ba, cluster, strategy)
-
     @pytest.mark.parametrize("reordered", ["tasks", "channels"])
     def test_task_and_channel_order_are_part_of_the_key(self, reordered):
         # Same content, one sequence permuted: the search reads both
@@ -310,7 +293,6 @@ class TestStoreRule:
         first = strategy.place(physical, cluster)
         assert strategy.last_fallback == "greedy"
         assert len(caps._MEMO) == 1
-        strategy.last_fallback = None
         assert strategy.place(physical, cluster).assignment == first.assignment
         assert strategy.last_fallback == "greedy"
         fallbacks = registry.counter(
