@@ -1,8 +1,10 @@
-"""KEY: cache-key completeness analysis for the two content-keyed caches.
+"""KEY: cache-key completeness analysis for the three content-keyed caches.
 
 ``repro.simulator.plan_cache`` memoises simulation summaries by a
-content fingerprint, and ``repro.placement.caps`` memoises CAPS
-placement decisions by a second one (``placement_fingerprint``). Each
+content fingerprint, ``repro.placement.caps`` memoises CAPS placement
+decisions by a second one (``placement_fingerprint``), and
+``repro.controller.profiler`` memoises profiled unit costs by a third
+(``profile_fingerprint``). Each
 cache is sound only while its fingerprint covers *everything the
 computation it skips can observe*; a field added to a
 cluster/workload/config type but not folded into the fingerprint makes
@@ -21,8 +23,10 @@ a build failure instead:
   constructor/run entry points must map (directly or via an alias) to a
   parameter of ``simulation_fingerprint``, and every parameter of
   ``CapsStrategy.__init__``/``place`` to one of
-  ``placement_fingerprint``, so a new engine or strategy knob cannot
-  bypass its key.
+  ``placement_fingerprint``, and every parameter of
+  ``CostProfiler.__init__``/``profile`` to one of
+  ``profile_fingerprint``, so a new engine, strategy or profiler knob
+  cannot bypass its key.
 - **KEY003** — every type folded into the fingerprint through the
   generic dataclass encoder must remain a ``@dataclass(frozen=True)``:
   frozen-ness is what makes field-wise encoding a faithful content
@@ -123,6 +127,22 @@ DEFAULT_KEY_SPEC = KeySpec(
             # resource profile, reached via spec_of(task).
             covers={"logical_graphs": ("spec_of",)},
         ),
+        # _canon_physical encodes tasks and channels through these two
+        # helpers, not through the generic dataclass encoder.
+        CanonCoverageSpec(
+            canon_module="repro.simulator.plan_cache",
+            canon_func="_canon_task",
+            target_module="repro.dataflow.physical",
+            target_class="Task",
+            param="task",
+        ),
+        CanonCoverageSpec(
+            canon_module="repro.simulator.plan_cache",
+            canon_func="_canon_channel",
+            target_module="repro.dataflow.physical",
+            target_class="Channel",
+            param="channel",
+        ),
         CanonCoverageSpec(
             canon_module="repro.simulator.plan_cache",
             canon_func="_canon_cluster",
@@ -163,6 +183,15 @@ DEFAULT_KEY_SPEC = KeySpec(
             alias={"source_rates": "costs", "unit_costs_provider": "costs"},
             # Observability sinks record a placement and never feed it.
             ignore=("self", "tracer", "registry"),
+        ),
+        SignatureParitySpec(
+            fingerprint_module="repro.simulator.plan_cache",
+            fingerprint_func="profile_fingerprint",
+            target_module="repro.controller.profiler",
+            target_funcs=("CostProfiler.__init__", "CostProfiler.profile"),
+            # The key hashes the physical graph profile() expands from
+            # the logical one at parallelism 1.
+            alias={"graph": "physical"},
         ),
     ),
     frozen=(

@@ -14,24 +14,45 @@ observed output rate."
 The profiler builds a dedicated profiling deployment — one worker per
 operator, parallelism one — runs it on the simulator at a configurable
 profiling rate, and divides the isolated worker's measured usage by the
-operator's observed rates. Profiling runs once per query; the resulting
-:class:`~repro.core.cost_model.UnitCosts` are cached and reused on every
-reconfiguration (costs are per record, hence rate-independent).
+operator's observed rates. Profiling runs once per query: costs are per
+record, hence rate-independent, so the resulting
+:class:`~repro.core.cost_model.UnitCosts` are reused on every
+reconfiguration. Two layers keep them. A
+:class:`~repro.controller.capsys.CAPSysController` holds its query's
+costs for its own life, and :meth:`CostProfiler.profile` memoises them
+for the life of the process, keyed by
+:func:`repro.simulator.plan_cache.profile_fingerprint` over the
+profiling deployment, so a new controller for a query and instance type
+profiled before runs no profiling job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+import math
+from collections import OrderedDict
+from typing import Dict, Optional, Tuple
 
-from repro.dataflow.cluster import Cluster, Worker, WorkerSpec
+from repro.dataflow.cluster import Cluster, WorkerSpec
 from repro.dataflow.graph import LogicalGraph
 from repro.dataflow.physical import PhysicalGraph
 from repro.core.cost_model import UnitCosts
 from repro.core.plan import PlacementPlan
 from repro.simulator.engine import FluidSimulation, SimulationConfig
+from repro.simulator.plan_cache import profile_fingerprint
 
 OperatorKey = Tuple[str, str]
+
+#: Profiles the profile memo keeps; the least recently used goes first.
+MEMO_CAPACITY = 256
+
+#: Process-wide profile memo, fingerprint -> unit costs in LRU order.
+#: Single-threaded like the placement memo: nothing starts a thread.
+_MEMO: "OrderedDict[str, Dict[OperatorKey, UnitCosts]]" = OrderedDict()
+
+
+def clear_profile_memo() -> None:
+    """Forget every memoised profile, as a fresh process would."""
+    _MEMO.clear()
 
 
 class CostProfiler:
@@ -57,8 +78,17 @@ class CostProfiler:
         warmup_s: float = 30.0,
         config: Optional[SimulationConfig] = None,
     ) -> None:
+        for name, value in (
+            ("profiling_rate", profiling_rate),
+            ("duration_s", duration_s),
+            ("warmup_s", warmup_s),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if profiling_rate <= 0:
             raise ValueError("profiling_rate must be positive")
+        if warmup_s < 0:
+            raise ValueError(f"warmup_s must be non-negative, got {warmup_s!r}")
         if duration_s <= warmup_s:
             raise ValueError("duration must exceed warmup")
         self.worker_spec = worker_spec
@@ -69,7 +99,12 @@ class CostProfiler:
 
     # ------------------------------------------------------------------
     def profile(self, graph: LogicalGraph) -> Dict[OperatorKey, UnitCosts]:
-        """Run the profiling job and return unit costs per operator."""
+        """Run the profiling job and return unit costs per operator.
+
+        A deployment this process profiled before is answered from the
+        profile memo, with no engine built; the returned dict is the
+        caller's own either way.
+        """
         graph.validate()
         operators = graph.topological_order()
         profiling_graph = graph.with_parallelism({op: 1 for op in operators})
@@ -77,6 +112,18 @@ class CostProfiler:
         # everywhere satisfies trivially.
         profiling_graph.validate()
         physical = PhysicalGraph.expand(profiling_graph)
+        key = profile_fingerprint(
+            physical,
+            self.worker_spec,
+            self.profiling_rate,
+            self.duration_s,
+            self.warmup_s,
+            self.config,
+        )
+        stored = _MEMO.get(key) if key is not None else None
+        if stored is not None:
+            _MEMO.move_to_end(key)
+            return dict(stored)
 
         cluster = Cluster.homogeneous(
             self.worker_spec.with_slots(1), count=len(operators)
@@ -118,4 +165,8 @@ class CostProfiler:
                 ),
                 selectivity=observed.selectivity,
             )
+        if key is not None:
+            _MEMO[key] = dict(costs)
+            while len(_MEMO) > MEMO_CAPACITY:
+                _MEMO.popitem(last=False)
         return costs

@@ -25,21 +25,33 @@ summaries:
   :class:`~repro.simulator.engine.SimulationConfig`.
 
 Fingerprints are sha256 digests of a canonical recursive encoding
-(dataclasses by field, mappings sorted, floats by ``repr``). Inputs the
-encoder does not understand (e.g. a hand-written rate callable) yield
-``None`` and silently bypass the cache — caching is an optimisation,
-never a correctness requirement. Cached summaries are copied on both
-store and fetch so callers can never mutate a shared entry.
+(dataclasses by field, mappings sorted, floats by ``repr``). The
+physical graph has a compact encoding of its own: each operator's
+spec once, under its ``(job_id, operator)`` key; each task as that
+key's triple with its index; each channel as its two endpoint triples,
+its share and whether it is reroutable; tasks and channels sorted.
+Inputs the encoder does not understand (e.g. a hand-written rate
+callable) yield ``None`` and silently bypass the cache — caching is an
+optimisation, never a correctness requirement. Cached summaries are
+copied on both store and fetch so callers can never mutate a shared
+entry.
 
-The same encoder keys the CAPS placement memo
-(:mod:`repro.placement.caps`): :func:`placement_fingerprint` hashes one
-placement problem — the physical graph with its task and channel order,
-the cluster's workers *by id* (a plan names worker ids, so unlike the
-simulation key it is not taken up to worker renaming), the per-task
-costs, and the strategy's parameters.
+The same encoder gives the two process-wide memos their keys:
 
-Both caches are single-threaded: nothing in the package starts a
-thread, so neither takes a lock.
+- :func:`placement_fingerprint` keys the CAPS placement memo
+  (:mod:`repro.placement.caps`) by one placement problem — the physical
+  graph with its task and channel order, the cluster's workers *by id*
+  (a plan names worker ids, so unlike the simulation key it is not
+  taken up to worker renaming), the per-task costs, and the strategy's
+  parameters;
+- :func:`profile_fingerprint` keys the profile memo
+  (:mod:`repro.controller.profiler`) by one profiling deployment — the
+  parallelism-1 profiling graph with its task and channel order, the
+  worker spec, the profiling rate, duration and warmup, and the whole
+  :class:`~repro.simulator.engine.SimulationConfig`.
+
+The cache and both memos are single-threaded: nothing in the package
+starts a thread, so none takes a lock.
 """
 
 from __future__ import annotations
@@ -50,8 +62,8 @@ import hashlib
 from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from repro.dataflow.cluster import Cluster
-from repro.dataflow.physical import PhysicalGraph
+from repro.dataflow.cluster import Cluster, WorkerSpec
+from repro.dataflow.physical import Channel, PhysicalGraph, Task
 from repro.core.cost_model import CostVector, TaskCosts
 from repro.core.plan import PlacementPlan
 from repro.observability import NULL_TRACER, MetricRegistry, Tracer
@@ -63,14 +75,11 @@ class _Uncacheable(Exception):
     """Raised when an input has no canonical encoding."""
 
 
-def _canon(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
+def _canon(obj: Any) -> Any:
     """Canonical, hashable, deterministic encoding of a value.
 
     The encoding is injective for the types it accepts (each branch tags
     its payload), so distinct inputs cannot collide before hashing.
-    ``memo`` maps ``id(obj)`` to the encoding of each dataclass instance
-    met so far, so an instance reached more than once is encoded once;
-    it is valid only while every instance it names is alive.
     """
     if obj is None or isinstance(obj, (bool, int, str, bytes)):
         return obj
@@ -80,53 +89,90 @@ def _canon(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
     if isinstance(obj, enum.Enum):
         return ("e", type(obj).__name__, obj.name)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        if memo is not None and id(obj) in memo:
-            return memo[id(obj)]
-        encoded = (
+        return (
             "d",
             type(obj).__name__,
             tuple(
-                (f.name, _canon(getattr(obj, f.name), memo))
+                (f.name, _canon(getattr(obj, f.name)))
                 for f in dataclasses.fields(obj)
             ),
         )
-        if memo is not None:
-            memo[id(obj)] = encoded
-        return encoded
     if isinstance(obj, Mapping):
-        return (
-            "m",
-            tuple(
-                sorted((_canon(k, memo), _canon(v, memo)) for k, v in obj.items())
-            ),
-        )
+        return ("m", tuple(sorted((_canon(k), _canon(v)) for k, v in obj.items())))
     if isinstance(obj, (list, tuple)):
-        return ("l", tuple(_canon(item, memo) for item in obj))
+        return ("l", tuple(_canon(item) for item in obj))
     if isinstance(obj, (set, frozenset)):
-        return ("s", tuple(sorted(_canon(item, memo) for item in obj)))
+        return ("s", tuple(sorted(_canon(item) for item in obj)))
     raise _Uncacheable(f"no canonical encoding for {type(obj).__name__}")
 
 
-def _canon_physical(physical: PhysicalGraph) -> Any:
-    """The workload: tasks, their operator cost profiles, and channels.
+def _digest(payload: Any) -> str:
+    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
-    Each task is paired with its :class:`OperatorSpec` — two workloads
-    with identical topology but different per-tuple costs or selectivity
-    must not share a fingerprint. The tasks of an operator share its
-    spec and every channel names two tasks, so one memo encodes each
-    task and each spec once; the graph keeps them all alive.
+
+def _canon_task(task: Task) -> Tuple[str, str, int]:
+    """A task as its ``(job_id, operator, index)`` triple.
+
+    Not as its uid: ``"a/b" + "c"`` and ``"a" + "b/c"`` give one uid.
     """
-    memo: Dict[int, Any] = {}
-    tasks = tuple(
-        sorted(
-            (_canon(task, memo), _canon(physical.spec_of(task), memo))
-            for task in physical.tasks
-        )
+    return (task.job_id, task.operator, task.index)
+
+
+def _canon_channel(channel: Channel) -> Any:
+    """A channel as its endpoint triples, its share and its reroutability."""
+    return (
+        _canon_task(channel.src),
+        _canon_task(channel.dst),
+        _canon(channel.share),
+        channel.reroutable,
     )
-    channels = tuple(
-        sorted(_canon(channel, memo) for channel in physical.channels)
+
+
+def _canon_physical(physical: PhysicalGraph) -> Any:
+    """The workload: operator cost profiles, tasks and channels.
+
+    Each operator's :class:`OperatorSpec` is encoded once, under its
+    ``(job_id, operator)`` key: two workloads with identical topology
+    but different per-tuple costs or selectivity must not share a
+    fingerprint. Tasks and channels are encoded compactly and sorted,
+    so the encoding does not depend on their order.
+    """
+    specs: Dict[Tuple[str, str], Any] = {}
+    for task in physical.tasks:
+        key = (task.job_id, task.operator)
+        if key not in specs:
+            specs[key] = _canon(physical.spec_of(task))
+    return (
+        "physical",
+        tuple(sorted(specs.items())),
+        tuple(sorted(_canon_task(task) for task in physical.tasks)),
+        tuple(sorted(_canon_channel(channel) for channel in physical.channels)),
     )
-    return ("physical", tasks, channels)
+
+
+def _canon_order(physical: PhysicalGraph) -> Any:
+    """The task and channel order, which :func:`_canon_physical` sorts away.
+
+    Task uids are unique within a graph, so next to the sorted encoding
+    they fix the order exactly.
+    """
+    return (
+        "order",
+        tuple(task.uid for task in physical.tasks),
+        tuple((ch.src.uid, ch.dst.uid) for ch in physical.channels),
+    )
+
+
+def _canon_worker_specs(cluster: Cluster) -> Dict[WorkerSpec, Any]:
+    """Each distinct worker spec of a cluster, encoded once.
+
+    Keyed by value: equal specs describe the same hardware, and their
+    capacities are positive, so ``0.0 == -0.0`` cannot merge two.
+    """
+    return {
+        spec: _canon(spec)
+        for spec in dict.fromkeys(worker.spec for worker in cluster.workers)
+    }
 
 
 def _canon_placement(
@@ -141,8 +187,9 @@ def _canon_placement(
     tasks_on: dict = {w.worker_id: [] for w in cluster.workers}
     for uid, worker_id in plan.assignment.items():
         tasks_on.setdefault(worker_id, []).append(uid)
+    specs = _canon_worker_specs(cluster)
     buckets = [
-        (_canon(worker.spec), tuple(sorted(tasks_on.get(worker.worker_id, []))))
+        (specs[worker.spec], tuple(sorted(tasks_on.get(worker.worker_id, []))))
         for worker in cluster.workers
     ]
     return (
@@ -181,7 +228,7 @@ def simulation_fingerprint(
         )
     except _Uncacheable:
         return None
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return _digest(payload)
 
 
 def _canon_cluster(cluster: Cluster) -> Any:
@@ -190,13 +237,10 @@ def _canon_cluster(cluster: Cluster) -> Any:
     Plans name workers by id, so this encoding is *not* taken up to
     worker renaming: swapping two workers' specs changes it.
     """
-    memo: Dict[int, Any] = {}
+    specs = _canon_worker_specs(cluster)
     return (
         "cluster",
-        tuple(
-            (worker.worker_id, _canon(worker.spec, memo))
-            for worker in cluster.workers
-        ),
+        tuple((worker.worker_id, specs[worker.spec]) for worker in cluster.workers),
         ("link_latency", _canon(cluster.link_latency_s)),
     )
 
@@ -240,11 +284,7 @@ def placement_fingerprint(
     try:
         payload = (
             _canon_physical(physical),
-            (
-                "order",
-                tuple(task.uid for task in physical.tasks),
-                tuple((ch.src.uid, ch.dst.uid) for ch in physical.channels),
-            ),
+            _canon_order(physical),
             _canon_cluster(cluster),
             _canon_costs(costs),
             (
@@ -260,7 +300,42 @@ def placement_fingerprint(
         )
     except _Uncacheable:
         return None
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+    return _digest(payload)
+
+
+def profile_fingerprint(
+    physical: PhysicalGraph,
+    worker_spec: WorkerSpec,
+    profiling_rate: float,
+    duration_s: float,
+    warmup_s: float,
+    config: SimulationConfig,
+) -> Optional[str]:
+    """Content hash of one profiling deployment, or None when uncacheable.
+
+    Covers everything ``CostProfiler.profile`` reads: the expanded
+    parallelism-1 profiling graph with its task and channel order (the
+    order assigns operators to workers), the worker spec, the profiling
+    rate, duration and warmup, and the whole ``config``. Unlike the
+    simulation key it keeps ``fast_forward``, so a comparison of the
+    two engines in one process still runs both.
+    """
+    try:
+        payload = (
+            _canon_physical(physical),
+            _canon_order(physical),
+            ("worker_spec", _canon(worker_spec)),
+            (
+                "profiling",
+                _canon(profiling_rate),
+                _canon(duration_s),
+                _canon(warmup_s),
+            ),
+            ("config", _canon(config)),
+        )
+    except _Uncacheable:
+        return None
+    return _digest(payload)
 
 
 def _copy_summary(summary: SimulationSummary) -> SimulationSummary:

@@ -9,6 +9,7 @@ break it.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -48,6 +49,36 @@ def plan_on_worker(physical, worker_id):
     return PlacementPlan({t.uid: worker_id for t in physical.tasks})
 
 
+def rewired(physical, change):
+    """``physical`` with ``change(tasks, channels)`` applied to its lists."""
+    tasks, channels = list(physical.tasks), list(physical.channels)
+    change(tasks, channels)
+    return PhysicalGraph(tasks, channels, physical.logical_graphs)
+
+
+def nudge_share(tasks, channels):
+    share = math.nextafter(channels[0].share, 0.0)
+    channels[0] = dataclasses.replace(channels[0], share=share)
+
+
+def flip_reroutable(tasks, channels):
+    flipped = not channels[0].reroutable
+    channels[0] = dataclasses.replace(channels[0], reroutable=flipped)
+
+
+def reindex_last_task(tasks, channels):
+    old = tasks[-1]
+    new = tasks[-1] = dataclasses.replace(old, index=old.index + 1)
+    channels[:] = [
+        dataclasses.replace(
+            ch,
+            src=new if ch.src == old else ch.src,
+            dst=new if ch.dst == old else ch.dst,
+        )
+        for ch in channels
+    ]
+
+
 RATES = {("job", "src"): 500.0}
 WINDOW = dict(duration_s=30.0, warmup_s=10.0)
 
@@ -64,6 +95,11 @@ class TestFingerprint:
         plan = plan_on_worker(physical, 0)
         assert fingerprint(physical, cluster, plan) == fingerprint(
             physical, cluster, plan
+        )
+        # a second expansion of the same graph: equal content, new objects
+        again, _ = small_deployment()
+        assert fingerprint(physical, cluster, plan) == fingerprint(
+            again, cluster, plan_on_worker(again, 0)
         )
 
     def test_worker_renaming_collapses(self):
@@ -111,6 +147,12 @@ class TestFingerprint:
         assert base != fingerprint(
             physical, cluster, plan, network_cap_bytes_per_s=1e6
         )
+        # the workload's channels and tasks, each changed in one place
+        for change in (nudge_share, flip_reroutable, reindex_last_task):
+            altered = rewired(physical, change)
+            assert base != fingerprint(
+                altered, cluster, plan_on_worker(altered, 0)
+            ), change.__name__
 
     def test_rate_patterns_fingerprint(self):
         physical, cluster = small_deployment()
@@ -376,12 +418,14 @@ def _preset_input(names, workers, rate_scale, pattern=None):
 
 class TestFingerprintPins:
     """Literal digests: an edit to how the fingerprint is computed must
-    leave the payload, and so every digest, unchanged."""
+    leave the payload, and so every digest, unchanged. The literals
+    move only with a deliberate change of the encoding, recorded in
+    CHANGES.md."""
 
     def test_small_deployment(self):
         physical, cluster = small_deployment()
         assert fingerprint(physical, cluster, plan_on_worker(physical, 0)) == (
-            "0a6bb197b21d3fa8fa91d0a5d9f4c45673725cc61a1e5ad829372c33ba831bd1"
+            "5e29e830a8cb20423a9e7f4a343a5c540f5b7e4aba9ac8d992e0ae2c6bb6efac"
         )
 
     def test_preset_with_steps_config_and_network_cap(self):
@@ -396,7 +440,7 @@ class TestFingerprintPins:
             config=SimulationConfig(dt=0.5, noise_std=0.05, seed=3),
             network_cap_bytes_per_s=1.25e8,
         )
-        assert digest == "1ed09365692400b7d66cd2e5075405a97ae71da60b47bfa8cad94cb9f0120c5b"
+        assert digest == "6bca2c4c63a74dc022eb26e826dc33190b4c4923a98f65d6393846d9682380d5"
 
     def test_two_jobs(self):
         physical, cluster, plan, rates = _preset_input(
@@ -405,4 +449,4 @@ class TestFingerprintPins:
         digest = simulation_fingerprint(
             physical, cluster, plan, rates, duration_s=240.0, warmup_s=0.0
         )
-        assert digest == "7a0350ee16ac80060459721a5d401863eaa8de865b70b062b3d82e9e8c83314e"
+        assert digest == "555648e81d4e4768edf87a5916e54a40c59b24b52cc918dab1cbbe53d77ca59b"

@@ -69,3 +69,22 @@ class TestProfiler:
             CostProfiler(R5D_XLARGE, profiling_rate=0.0)
         with pytest.raises(ValueError):
             CostProfiler(R5D_XLARGE, duration_s=10.0, warmup_s=20.0)
+
+    # Each bad value used to pass __init__: NaN and infinite durations
+    # failed inside the engine, an infinite rate and a negative warmup
+    # returned unit costs.
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("profiling_rate", float("nan")),
+            ("profiling_rate", float("inf")),
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("warmup_s", float("nan")),
+            ("warmup_s", float("-inf")),
+            ("warmup_s", -30.0),
+        ],
+    )
+    def test_rejects_a_bad_value_naming_its_parameter(self, param, value):
+        with pytest.raises(ValueError, match=param):
+            CostProfiler(R5D_XLARGE, **{param: value})
