@@ -23,6 +23,12 @@ from repro.placement import caps
 from repro.placement.caps import MEMO_CAPACITY, CapsStrategy, clear_placement_memo
 from repro.simulator.plan_cache import placement_fingerprint
 from repro.workloads import ALL_QUERIES
+from tests.test_plan_cache import (
+    flip_reroutable,
+    nudge_share,
+    reindex_last_task,
+    rewired,
+)
 
 
 @pytest.fixture
@@ -147,37 +153,6 @@ def _nudged_unit_costs():
     return unit_costs
 
 
-def _rewired(change):
-    """The base graph with ``change(tasks, channels)`` applied to its lists."""
-    physical = _two_stage()
-    tasks, channels = list(physical.tasks), list(physical.channels)
-    change(tasks, channels)
-    return PhysicalGraph(tasks, channels, physical.logical_graphs)
-
-
-def _nudge_share(tasks, channels):
-    share = math.nextafter(channels[0].share, 0.0)
-    channels[0] = dataclasses.replace(channels[0], share=share)
-
-
-def _flip_reroutable(tasks, channels):
-    flipped = not channels[0].reroutable
-    channels[0] = dataclasses.replace(channels[0], reroutable=flipped)
-
-
-def _reindex_last_task(tasks, channels):
-    old = tasks[-1]
-    new = tasks[-1] = dataclasses.replace(old, index=old.index + 1)
-    channels[:] = [
-        dataclasses.replace(
-            ch,
-            src=new if ch.src == old else ch.src,
-            dst=new if ch.dst == old else ch.dst,
-        )
-        for ch in channels
-    ]
-
-
 VARIANTS = {
     "unit_cost_1ulp": lambda: _problem(unit_costs=_nudged_unit_costs()),
     "source_rate": lambda: _problem(rates={("g", "src"): 1000.5}),
@@ -195,9 +170,15 @@ VARIANTS = {
         )
     ),
     "skew_shares": lambda: _problem(physical=_two_stage(skew={"win": [0.7, 0.3]})),
-    "channel_share_1ulp": lambda: _problem(physical=_rewired(_nudge_share)),
-    "channel_reroutable": lambda: _problem(physical=_rewired(_flip_reroutable)),
-    "task_index": lambda: _problem(physical=_rewired(_reindex_last_task)),
+    "channel_share_1ulp": lambda: _problem(
+        physical=rewired(_two_stage(), nudge_share)
+    ),
+    "channel_reroutable": lambda: _problem(
+        physical=rewired(_two_stage(), flip_reroutable)
+    ),
+    "task_index": lambda: _problem(
+        physical=rewired(_two_stage(), reindex_last_task)
+    ),
     "thresholds": lambda: _problem(thresholds=CostVector(1.0, 1.0, 1.0)),
     "reorder": lambda: _problem(reorder=False),
     "jobs": lambda: _problem(jobs=2),
