@@ -21,7 +21,7 @@ a build failure instead:
   reading ``physical.spec_of`` covers ``logical_graphs``.
 - **KEY002** — signature parity: every parameter of the simulator's
   constructor/run entry points must map (directly or via an alias) to a
-  parameter of ``simulation_fingerprint``, and every parameter of
+  parameter of ``simulation_fingerprint``, every parameter of
   ``CapsStrategy.__init__``/``place`` to one of
   ``placement_fingerprint``, and every parameter of
   ``CostProfiler.__init__``/``profile`` to one of
@@ -204,6 +204,8 @@ DEFAULT_KEY_SPEC = KeySpec(
         FrozenDataclassSpec(
             module="repro.dataflow.cluster", classes=("WorkerSpec", "Worker")
         ),
+        # Encoded by _canon_task and _canon_channel, not the generic
+        # encoder; frozen still keeps a graph from changing under its key.
         FrozenDataclassSpec(
             module="repro.dataflow.physical", classes=("Task", "Channel")
         ),
