@@ -13,10 +13,15 @@ b. **Partitioned search** — the sequential search vs a process pool
    equality. Process-pool speedup is only meaningful on multicore
    hosts; below 4 cores the criterion is recorded as not applicable.
 c. **Plan-evaluation cache** — a Figure 7-style repeated-run sweep
-   (deterministic CAPS placement simulated ``RUNS`` times) cold
-   (``cache=None``) vs warm (a fresh cache), with byte-identical
-   summaries. The placement memo is cleared before each sweep, so both
-   pay for one CAPS search and the section times the plan cache alone.
+   (deterministic CAPS placement simulated ``runs`` times) cold
+   (``DEFAULT_CACHE`` cleared before every run) vs warm (cleared once,
+   before the sweep), with byte-identical summaries. Cold also computes
+   one simulation fingerprint per run (ten in the full sweep), which
+   the cache-off switch of earlier commits skipped. The placement memo
+   is cleared before each sweep, so both pay for one CAPS search and
+   the section times the plan cache alone. Each side is timed
+   ``CACHE_REPEATS`` times, cold and warm alternating, and recorded as
+   its median with its min-max range.
 
 Results are printed and merged into ``BENCH_perf.json`` in the working
 directory as three sections, each labelled with the commit and the
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 import threading
 import time
@@ -48,8 +54,8 @@ from repro.dataflow.cluster import Cluster, R5D_XLARGE
 from repro.dataflow.physical import PhysicalGraph
 from repro.experiments.runner import strategy_box_runs
 from repro.placement import CapsStrategy
-from repro.placement.caps import clear_placement_memo
-from repro.simulator.plan_cache import PlanEvaluationCache
+from repro.placement.caps import PLACEMENT_MEMO
+from repro.simulator.plan_cache import DEFAULT_CACHE
 from repro.workloads import q3_inf, query_by_name
 
 #: Table 2 workload (benchmarks/bench_table2_pruning.py): Q3-inf on
@@ -60,6 +66,8 @@ FULL_QUERY = dict(source=2, decode=5, inference=12, sink=5)
 SMOKE_QUERY = dict(source=2, decode=4, inference=8, sink=4)
 PRUNING_ALPHAS = [0.5, 0.3, 0.2]
 SOURCE_RATE = 3000.0
+#: Timed sweeps per side in section (c), cold and warm alternating.
+CACHE_REPEATS = 5
 
 
 def table2_model(smoke: bool) -> CostModel:
@@ -214,7 +222,8 @@ def bench_backends(smoke: bool) -> dict:
 
 
 def bench_plan_cache(smoke: bool) -> dict:
-    """(c) Fig. 7-style repeated-run sweep, cold vs warm."""
+    """(c) Fig. 7-style repeated-run sweep, cold vs warm, medians of
+    ``CACHE_REPEATS`` alternating sweeps each."""
     runs = 4 if smoke else 10
     duration = 120.0 if smoke else 300.0
     warmup = 50.0 if smoke else 120.0
@@ -224,37 +233,59 @@ def bench_plan_cache(smoke: bool) -> dict:
     rate = preset.target_rate
     rates = {(graph.job_id, op): rate for op in graph.sources()}
 
-    def sweep(cache):
+    def sweep(cold):
         # Each sweep pays for one CAPS search, so the two differ only in
-        # the plan cache.
-        clear_placement_memo()
+        # the plan cache: cold empties it before every run, warm once.
+        PLACEMENT_MEMO.clear()
+        DEFAULT_CACHE.clear()
         strategy = CapsStrategy(rates)
-        return strategy_box_runs(
-            graph, cluster, strategy, rate,
-            runs=runs, duration_s=duration, warmup_s=warmup, cache=cache,
-        )
+        box = dict(duration_s=duration, warmup_s=warmup)
+        if not cold:
+            return strategy_box_runs(
+                graph, cluster, strategy, rate, runs=runs, **box
+            )
+        out = []
+        for run_index in range(runs):
+            DEFAULT_CACHE.clear()
+            out += strategy_box_runs(
+                graph, cluster, strategy, rate, runs=1, base_seed=run_index,
+                **box,
+            )
+        return out
 
-    cold_s, cold = _timed(lambda: sweep(None))
-    warm_cache = PlanEvaluationCache()
-    warm_s, warm = _timed(lambda: sweep(warm_cache))
-
-    assert [r.only for r in warm] == [r.only for r in cold], (
-        "warm-cache summaries differ from fresh simulations"
-    )
+    times = {True: [], False: []}
+    expected = None
+    for _ in range(CACHE_REPEATS):
+        for cold in (True, False):
+            seconds, result = _timed(lambda: sweep(cold))
+            times[cold].append(seconds)
+            summaries = [r.only for r in result]
+            if expected is None:
+                expected = summaries
+            assert summaries == expected, (
+                "warm-cache summaries differ from fresh simulations"
+            )
+    # the last sweep was warm
+    hits, misses = DEFAULT_CACHE.hits, DEFAULT_CACHE.misses
+    cold_s, warm_s = statistics.median(times[True]), statistics.median(times[False])
     speedup = cold_s / warm_s if warm_s > 0 else None
     print(
-        f"  {runs}-run sweep: cold {cold_s:.3f}s, warm {warm_s:.3f}s "
-        f"({speedup:.2f}x, {warm_cache.hits} hits/{warm_cache.misses} misses); "
-        "summaries byte-identical"
+        f"  {runs}-run sweep, median of {CACHE_REPEATS}: cold {cold_s:.3f}s "
+        f"({min(times[True]):.3f}-{max(times[True]):.3f}), warm {warm_s:.3f}s "
+        f"({min(times[False]):.3f}-{max(times[False]):.3f}), {speedup:.2f}x, "
+        f"{hits} hits/{misses} misses; summaries byte-identical"
     )
     return {
         "workload": f"{preset.name} x{runs} runs, {duration:.0f}s simulated",
         "runs": runs,
+        "repeats": CACHE_REPEATS,
         "cold_s": round(cold_s, 4),
+        "cold_range_s": [round(min(times[True]), 4), round(max(times[True]), 4)],
         "warm_s": round(warm_s, 4),
+        "warm_range_s": [round(min(times[False]), 4), round(max(times[False]), 4)],
         "speedup": round(speedup, 3),
-        "cache_hits": warm_cache.hits,
-        "cache_misses": warm_cache.misses,
+        "cache_hits": hits,
+        "cache_misses": misses,
         "meets_5x": speedup >= 5.0,
         "results_identical": True,
     }

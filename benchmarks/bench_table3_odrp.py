@@ -17,7 +17,7 @@ from _helpers import DURATION_S, WARMUP_S, profiled_controller, run_once
 from repro.dataflow.cluster import C5D_4XLARGE, Cluster
 from repro.experiments import make_odrp_cluster
 from repro.experiments.reporting import format_percent, format_table
-from repro.placement.caps import clear_placement_memo
+from repro.placement.caps import PLACEMENT_MEMO
 from repro.placement.odrp import OdrpConfig, OdrpSolver
 from repro.simulator.engine import FluidSimulation
 from repro.workloads import q3_inf
@@ -35,7 +35,7 @@ def test_table3_odrp_comparison(benchmark):
         rows = []
 
         # Time a computed decision, not a hit on one an earlier bench stored.
-        clear_placement_memo()
+        PLACEMENT_MEMO.clear()
         started = time.monotonic()
         deployment = controller.deploy({"source": TARGET})
         caps_decision = time.monotonic() - started
@@ -129,7 +129,7 @@ def test_table3_odrp_decision_time_scaling(benchmark):
             )
             result = solver.solve()
             # (4, 8) and (4, 16) place the same problem: time both.
-            clear_placement_memo()
+            PLACEMENT_MEMO.clear()
             started = time.monotonic()
             controller.deploy({"source": TARGET})
             caps_time = time.monotonic() - started

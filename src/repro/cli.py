@@ -51,7 +51,7 @@ from repro.faults import (
 from repro.observability import MetricRegistry, Tracer
 from repro.placement import CapsStrategy, FlinkDefaultStrategy, FlinkEvenlyStrategy
 from repro.simulator.engine import SimulationConfig
-from repro.simulator.plan_cache import DEFAULT_CACHE
+from repro.simulator.plan_cache import publish_plan_cache
 from repro.workloads import ALL_QUERIES, query_by_name
 from repro.workloads.rates import SquareWaveRate
 
@@ -321,8 +321,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     src_rates = {(graph.job_id, op): rate for op in graph.sources()}
 
     tracer, registry = _observability(args, f"compare/{args.query}")
-    if registry is not None:
-        DEFAULT_CACHE.bind_registry(registry)
     rows = []
     for strategy in (
         CapsStrategy(src_rates, unit_costs_provider=lambda p: unit_costs,
@@ -357,6 +355,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                   f"({args.runs} runs per strategy)",
         )
     )
+    if registry is not None:
+        publish_plan_cache(registry)
     _write_observability(args, tracer, registry)
     return 0
 
@@ -433,8 +433,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     rate = args.rate or preset.target_rate
     graph = preset.build()
     tracer, registry = _observability(args, f"explore/{args.query}")
-    if registry is not None:
-        DEFAULT_CACHE.bind_registry(registry)
     plans, _model = enumerate_all_plans(graph, cluster, rate)
     print(f"{len(plans)} distinct plans")
     if len(plans) > args.limit:
@@ -450,6 +448,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     meets = sum(1 for s in outcomes if s.meets_target())
     print(f"throughput spread: {thpt}")
     print(f"plans meeting target: {meets}/{len(outcomes)}")
+    if registry is not None:
+        publish_plan_cache(registry)
     _write_observability(args, tracer, registry)
     return 0
 

@@ -29,7 +29,6 @@ profiled before runs no profiling job.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.dataflow.cluster import Cluster, WorkerSpec
@@ -38,21 +37,12 @@ from repro.dataflow.physical import PhysicalGraph
 from repro.core.cost_model import UnitCosts
 from repro.core.plan import PlacementPlan
 from repro.simulator.engine import FluidSimulation, SimulationConfig
-from repro.simulator.plan_cache import profile_fingerprint
+from repro.simulator.plan_cache import Memo, profile_fingerprint
 
 OperatorKey = Tuple[str, str]
 
-#: Profiles the profile memo keeps; the least recently used goes first.
-MEMO_CAPACITY = 256
-
-#: Process-wide profile memo, fingerprint -> unit costs in LRU order.
-#: Single-threaded like the placement memo: nothing starts a thread.
-_MEMO: "OrderedDict[str, Dict[OperatorKey, UnitCosts]]" = OrderedDict()
-
-
-def clear_profile_memo() -> None:
-    """Forget every memoised profile, as a fresh process would."""
-    _MEMO.clear()
+#: Process-wide profile memo, fingerprint -> unit costs per operator.
+PROFILE_MEMO = Memo()
 
 
 class CostProfiler:
@@ -108,9 +98,8 @@ class CostProfiler:
         graph.validate()
         operators = graph.topological_order()
         profiling_graph = graph.with_parallelism({op: 1 for op in operators})
-        # FORWARD edges require equal parallelism, which parallelism-1
-        # everywhere satisfies trivially.
-        profiling_graph.validate()
+        # expand validates the clone: FORWARD edges require equal
+        # parallelism, which parallelism-1 everywhere satisfies trivially.
         physical = PhysicalGraph.expand(profiling_graph)
         key = profile_fingerprint(
             physical,
@@ -120,9 +109,8 @@ class CostProfiler:
             self.warmup_s,
             self.config,
         )
-        stored = _MEMO.get(key) if key is not None else None
+        stored = PROFILE_MEMO.lookup(key)
         if stored is not None:
-            _MEMO.move_to_end(key)
             return dict(stored)
 
         cluster = Cluster.homogeneous(
@@ -165,8 +153,5 @@ class CostProfiler:
                 ),
                 selectivity=observed.selectivity,
             )
-        if key is not None:
-            _MEMO[key] = dict(costs)
-            while len(_MEMO) > MEMO_CAPACITY:
-                _MEMO.popitem(last=False)
+        PROFILE_MEMO.store(key, dict(costs))
         return costs

@@ -135,18 +135,16 @@ class SeedBeacon:
     """In-process record of the lowest seed index that found a plan.
 
     The beacon of the inline path; :class:`_ProcessBeacon` keeps the
-    same record for a pool. The lock keeps it safe to share across
-    threads.
+    same record for a pool. Single-threaded: the inline path runs its
+    partitions one after another, so it takes no lock.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._best: Optional[int] = None
 
     def report(self, seed_index: int) -> None:
-        with self._lock:
-            if self._best is None or seed_index < self._best:
-                self._best = seed_index
+        if self._best is None or seed_index < self._best:
+            self._best = seed_index
 
     def best(self) -> Optional[int]:
         return self._best
@@ -287,10 +285,12 @@ def merge_partition_results(
     )
 
 
-# Per-process pool worker state, installed by _init_worker. The
-# initializer runs before any task in each pool process, but executors
-# may one day drive it from threads — the lock makes the install safe
-# either way.
+# Per-process pool worker state, installed by _init_worker before any
+# task in each pool process. It has to be global: the beacon's
+# multiprocessing.Value reaches a pool process only by inheritance,
+# through the initializer's arguments, never inside a task. The lock
+# stays although nothing starts a thread: without it RACE001 reports
+# both writes in _init_worker.
 _WORKER_STATE_LOCK = threading.Lock()
 _WORKER_SEARCH: Optional[CapsSearch] = None
 _WORKER_BEACON: Optional[_ProcessBeacon] = None

@@ -34,7 +34,7 @@ from repro.core.search import CapsSearch, SearchLimits
 from repro.observability import Tracer
 from repro.placement.base import PlacementStrategy
 from repro.simulator.engine import FluidSimulation, SimulationConfig
-from repro.simulator.plan_cache import CacheOption, simulate_cached
+from repro.simulator.plan_cache import simulate_cached
 from repro.simulator.results import JobSummary
 from repro.workloads.rates import RatePattern
 
@@ -91,7 +91,6 @@ def simulate_plan(
     warmup_s: float = 240.0,
     config: Optional[SimulationConfig] = None,
     network_cap_bytes_per_s: Optional[float] = None,
-    cache: CacheOption = "default",
     tracer: Optional[Tracer] = None,
     fast_forward: bool = False,
 ) -> JobSummary:
@@ -99,7 +98,7 @@ def simulate_plan(
 
     Identical inputs are served from the plan-evaluation cache (the
     simulator is deterministic, so warm results are byte-identical);
-    pass ``cache=None`` to force a fresh simulation. The engine leaps
+    ``plan_cache.DEFAULT_CACHE.clear()`` empties it. The engine leaps
     over ticks that repeat exactly unless ``config`` sets
     ``fast_forward=False`` (the tick-by-tick reference);
     ``fast_forward=True`` turns leaping back on over such a config, and
@@ -120,7 +119,6 @@ def simulate_plan(
         warmup_s,
         config=config,
         network_cap_bytes_per_s=network_cap_bytes_per_s,
-        cache=cache,
         tracer=tracer,
     )
     return summary.only
@@ -134,16 +132,15 @@ def simulate_multi_job(
     duration_s: float = 600.0,
     warmup_s: float = 240.0,
     config: Optional[SimulationConfig] = None,
-    cache: CacheOption = "default",
     tracer: Optional[Tracer] = None,
 ) -> Dict[str, JobSummary]:
     """Simulate a merged multi-job deployment; summaries per job.
 
-    Cached like :func:`simulate_plan`; pass ``cache=None`` to disable.
+    Cached like :func:`simulate_plan`.
     """
     summary = simulate_cached(
         physical, cluster, plan, rates, duration_s, warmup_s,
-        config=config, cache=cache, tracer=tracer,
+        config=config, tracer=tracer,
     )
     return summary.jobs
 
@@ -158,7 +155,6 @@ def strategy_box_runs(
     warmup_s: float = 240.0,
     config: Optional[SimulationConfig] = None,
     base_seed: int = 0,
-    cache: CacheOption = "default",
     tracer: Optional[Tracer] = None,
 ) -> List[ExperimentRun]:
     """Repeat place-and-simulate ``runs`` times with varied seeds.
@@ -170,7 +166,7 @@ def strategy_box_runs(
     exactly the stability the paper reports — and which the
     plan-evaluation cache exploits: runs that reproduce an
     already-simulated plan are served from the cache instead of
-    re-simulated (pass ``cache=None`` to force fresh simulations).
+    re-simulated.
     """
     physical = PhysicalGraph.expand(graph)
     results: List[ExperimentRun] = []
@@ -186,7 +182,6 @@ def strategy_box_runs(
             duration_s=duration_s,
             warmup_s=warmup_s,
             config=config,
-            cache=cache,
             tracer=tracer,
         )
         results.append(ExperimentRun(plan=plan, summaries={summary.job_id: summary}))

@@ -5,22 +5,21 @@ what the reproduction needs: a :class:`MetricRegistry` hands out
 get-or-create metric handles keyed by ``(name, labels)``, and exports
 either a Prometheus-style text exposition or a JSON snapshot. Adopters:
 :class:`~repro.simulator.metrics.MetricsCollector` (tick counters and
-job gauges), :class:`~repro.simulator.plan_cache.PlanEvaluationCache`
-(hit/miss/eviction counters), :class:`~repro.placement.caps.CapsStrategy`
-(search work counters, shipped back from the search's pool workers
-through :class:`~repro.core.search.SearchStats`), and the CAPSys controller
-(deploys, DS2 decisions, rescales).
+job gauges), :class:`~repro.placement.caps.CapsStrategy` (search work
+counters, shipped back from the search's pool workers through
+:class:`~repro.core.search.SearchStats`), the CAPSys controller
+(deploys, DS2 decisions, rescales), and the ``compare`` and ``explore``
+commands, which copy the plan-evaluation cache's counters in when they
+write their metrics (:func:`~repro.simulator.plan_cache.publish_plan_cache`).
 
-Thread safety: the registry protects its metric map with a lock, and
-every metric guards its own state, so callers on several threads can
-update one registry concurrently. Exported orderings are sorted, so
+Single-threaded: nothing in the package starts a thread, so neither the
+registry nor its metrics take a lock. Exported orderings are sorted, so
 exposition output is deterministic regardless of creation order.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 LabelSet = Tuple[Tuple[str, str], ...]
@@ -46,7 +45,7 @@ def _render_labels(labels: LabelSet) -> str:
 
 
 class Counter:
-    """Monotonically increasing counter."""
+    """Monotonically increasing counter (single-threaded)."""
 
     kind = "counter"
 
@@ -54,26 +53,23 @@ class Counter:
         self.name = name
         self.labels = labels
         self.help = help
-        self._lock = threading.Lock()
         self._value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
-        with self._lock:
-            return self._value
+        return self._value
 
     def snapshot_value(self) -> Any:
         return self.value
 
 
 class Gauge:
-    """A value that can go up and down."""
+    """A value that can go up and down (single-threaded)."""
 
     kind = "gauge"
 
@@ -81,28 +77,24 @@ class Gauge:
         self.name = name
         self.labels = labels
         self.help = help
-        self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
+        self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
+        self._value += amount
 
     @property
     def value(self) -> float:
-        with self._lock:
-            return self._value
+        return self._value
 
     def snapshot_value(self) -> Any:
         return self.value
 
 
 class Histogram:
-    """Cumulative-bucket histogram of observations."""
+    """Cumulative-bucket histogram of observations (single-threaded)."""
 
     kind = "histogram"
 
@@ -120,7 +112,6 @@ class Histogram:
         self.labels = labels
         self.help = help
         self.bounds = bounds
-        self._lock = threading.Lock()
         self._counts = [0] * len(bounds)
         self._sum = 0.0
         self._count = 0
@@ -135,15 +126,13 @@ class Histogram:
     def observe(self, value: float) -> None:
         value = float(value)
         bucket = self._bucket(value)
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            if bucket is not None:
-                self._counts[bucket] += 1
+        self._sum += value
+        self._count += 1
+        if bucket is not None:
+            self._counts[bucket] += 1
 
     def observe_cycle(self, values: Sequence[float], cycles: int) -> None:
-        """Record ``values`` in order, ``cycles`` times over, under one
-        lock hold.
+        """Record ``values`` in order, ``cycles`` times over.
 
         The sum is accumulated by repeated addition in observation order
         so the result stays bit-identical with the separate
@@ -154,55 +143,51 @@ class Histogram:
             return
         values = [float(v) for v in values]
         buckets = [self._bucket(v) for v in values]
-        with self._lock:
-            for _ in range(cycles):
-                for value in values:
-                    self._sum += value
-            self._count += cycles * len(values)
-            for bucket in buckets:
-                if bucket is not None:
-                    self._counts[bucket] += cycles
+        for _ in range(cycles):
+            for value in values:
+                self._sum += value
+        self._count += cycles * len(values)
+        for bucket in buckets:
+            if bucket is not None:
+                self._counts[bucket] += cycles
 
     def snapshot_value(self) -> Dict[str, Any]:
-        with self._lock:
-            cumulative: List[int] = []
-            running = 0
-            for c in self._counts:
-                running += c
-                cumulative.append(running)
-            return {
-                "buckets": [
-                    {"le": bound, "count": count}
-                    for bound, count in zip(self.bounds, cumulative)
-                ],
-                "sum": self._sum,
-                "count": self._count,
-            }
+        cumulative: List[int] = []
+        running = 0
+        for c in self._counts:
+            running += c
+            cumulative.append(running)
+        return {
+            "buckets": [
+                {"le": bound, "count": count}
+                for bound, count in zip(self.bounds, cumulative)
+            ],
+            "sum": self._sum,
+            "count": self._count,
+        }
 
 
 class MetricRegistry:
-    """Get-or-create registry of named, labelled metrics."""
+    """Get-or-create registry of named, labelled metrics (single-threaded)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._metrics: Dict[Tuple[str, LabelSet], Any] = {}
         self._helps: Dict[str, str] = {}
 
     def _get_or_create(self, cls, name, labels, help, **kwargs):
         labelset = _labelset(labels)
         key = (name, labelset)
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = cls(name, labelset, help=help, **kwargs)
-                self._metrics[key] = metric
-                if help and name not in self._helps:
-                    self._helps[name] = help
-            elif not isinstance(metric, cls):
-                raise TypeError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            return metric
+        metric = self._metrics.get(key)
+        if metric is None:
+            metric = cls(name, labelset, help=help, **kwargs)
+            self._metrics[key] = metric
+            if help and name not in self._helps:
+                self._helps[name] = help
+        elif not isinstance(metric, cls):
+            raise TypeError(
+                f"metric {name!r} already registered as {metric.kind}"
+            )
+        return metric
 
     def counter(
         self,
@@ -235,10 +220,7 @@ class MetricRegistry:
     # Export
     # ------------------------------------------------------------------
     def _sorted_metrics(self) -> List[Any]:
-        with self._lock:
-            return [
-                self._metrics[key] for key in sorted(self._metrics.keys())
-            ]
+        return [self._metrics[key] for key in sorted(self._metrics.keys())]
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-able snapshot: one entry per (name, labels) series."""

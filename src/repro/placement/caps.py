@@ -21,7 +21,6 @@ stored, so a hit returns what a recompute on an unloaded host would.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Tuple, Union
 
@@ -37,12 +36,9 @@ from repro.diagnosis.explain import Explanation, explain_placement
 from repro.observability import MetricRegistry, NULL_TRACER, Tracer, clock
 from repro.placement.base import PlacementStrategy
 from repro.placement.flink_evenly import FlinkEvenlyStrategy
-from repro.simulator.plan_cache import placement_fingerprint
+from repro.simulator.plan_cache import Memo, placement_fingerprint
 
 RateMap = Mapping[Tuple[str, str], float]
-
-#: Decisions the placement memo keeps; the least recently used goes first.
-MEMO_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -56,14 +52,8 @@ class _Decision:
     search_stats: SearchStats
 
 
-#: Process-wide placement memo, fingerprint -> decision in LRU order.
-#: Single-threaded like the plan-evaluation cache: nothing starts a thread.
-_MEMO: "OrderedDict[str, _Decision]" = OrderedDict()
-
-
-def clear_placement_memo() -> None:
-    """Forget every memoised decision, as a fresh process would."""
-    _MEMO.clear()
+#: Process-wide placement memo, fingerprint -> :class:`_Decision`.
+PLACEMENT_MEMO = Memo()
 
 
 class CapsStrategy(PlacementStrategy):
@@ -177,22 +167,22 @@ class CapsStrategy(PlacementStrategy):
             autotune_task_limit=self.autotune_task_limit,
             search_timeout_s=self.search_timeout_s,
         )
-        stored = _MEMO.get(key) if key is not None else None
+        stored = PLACEMENT_MEMO.lookup(key)
         if stored is not None:
-            _MEMO.move_to_end(key)
             self._replay(stored, tr)
             return stored.plan
         plan, budget_cut = self._decide(physical, cluster, cost_model, tr)
-        if key is not None and not budget_cut:
-            _MEMO[key] = _Decision(
-                plan=plan,
-                thresholds=self.last_thresholds,
-                fallback=self.last_fallback,
-                explanation=self.last_explanation,
-                search_stats=replace(self.last_search_stats),
+        if not budget_cut:
+            PLACEMENT_MEMO.store(
+                key,
+                _Decision(
+                    plan=plan,
+                    thresholds=self.last_thresholds,
+                    fallback=self.last_fallback,
+                    explanation=self.last_explanation,
+                    search_stats=replace(self.last_search_stats),
+                ),
             )
-            while len(_MEMO) > MEMO_CAPACITY:
-                _MEMO.popitem(last=False)
         return plan
 
     def _replay(self, stored: _Decision, tr: Tracer) -> None:

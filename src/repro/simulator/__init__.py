@@ -22,7 +22,6 @@ from repro.simulator.engine import FluidSimulation, SimulationConfig
 from repro.simulator.metrics import MetricsCollector, TaskRates
 from repro.simulator.plan_cache import (
     DEFAULT_CACHE,
-    PlanEvaluationCache,
     simulate_cached,
     simulation_fingerprint,
 )
@@ -30,7 +29,6 @@ from repro.simulator.results import JobSummary, SimulationSummary
 
 __all__ = [
     "DEFAULT_CACHE",
-    "PlanEvaluationCache",
     "simulate_cached",
     "simulation_fingerprint",
     "ContentionConfig",

@@ -50,8 +50,10 @@ The same encoder gives the two process-wide memos their keys:
   worker spec, the profiling rate, duration and warmup, and the whole
   :class:`~repro.simulator.engine.SimulationConfig`.
 
-The cache and both memos are single-threaded: nothing in the package
-starts a thread, so none takes a lock.
+The cache and both memos are the three instances of one LRU type,
+:class:`Memo`, each bounded by :data:`MEMO_CAPACITY`. They are
+single-threaded: nothing in the package starts a thread, so none takes
+a lock.
 """
 
 from __future__ import annotations
@@ -347,140 +349,87 @@ def _copy_summary(summary: SimulationSummary) -> SimulationSummary:
     )
 
 
-class PlanEvaluationCache:
-    """LRU map from simulation fingerprints to summaries.
+#: Entries each process-wide memo keeps; the least recently used goes first.
+MEMO_CAPACITY = 256
 
-    Single-threaded: nothing in the package starts a thread, so the LRU
-    order and the hit/miss counters are updated without a lock. Share
-    an instance (the module-level :data:`DEFAULT_CACHE` above all)
-    between threads only behind the caller's own lock.
+
+class Memo:
+    """Process-wide LRU memo of :data:`MEMO_CAPACITY` entries.
+
+    The plan cache (:data:`DEFAULT_CACHE`), the placement memo and the
+    profile memo are its three instances. A ``None`` key (an input with
+    no canonical encoding) is skipped: it neither hits, misses nor
+    stores. Values are kept as given, so each caller copies what it
+    must not share. Single-threaded: nothing in the package starts a
+    thread, so the LRU order and the counters are updated without a
+    lock.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        registry: Optional[MetricRegistry] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, SimulationSummary]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self._m_hits = None
-        self._m_misses = None
-        self._m_evictions = None
-        self._g_size = None
-        if registry is not None:
-            self.bind_registry(registry)
-
-    def bind_registry(self, registry: MetricRegistry) -> None:
-        """Expose the cache's counters through a :class:`MetricRegistry`.
-
-        Counts accumulated before binding are carried into the registry
-        counters, so the shared :data:`DEFAULT_CACHE` can be bound after
-        the fact. Bind a given cache to a given registry at most once:
-        the registry counters are cumulative and a re-bind would
-        double-count the carried history.
-        """
-        self._m_hits = registry.counter(
-            "plan_cache_hits_total", help="Plan-evaluation cache hits."
-        )
-        self._m_misses = registry.counter(
-            "plan_cache_misses_total", help="Plan-evaluation cache misses."
-        )
-        self._m_evictions = registry.counter(
-            "plan_cache_evictions_total",
-            help="Entries evicted by the LRU capacity bound.",
-        )
-        self._g_size = registry.gauge(
-            "plan_cache_entries", help="Entries currently cached."
-        )
-        registry.gauge(
-            "plan_cache_capacity", help="Configured LRU capacity."
-        ).set(self.capacity)
-        self._m_hits.inc(self.hits)
-        self._m_misses.inc(self.misses)
-        self._m_evictions.inc(self.evictions)
-        self._g_size.set(len(self._entries))
-
-    def stats(self) -> Dict[str, int]:
-        """Snapshot of the counters and the LRU size."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._entries),
-            "capacity": self.capacity,
-        }
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, fingerprint: Optional[str]) -> Optional[SimulationSummary]:
-        if fingerprint is None:
+    def lookup(self, key: Optional[str]) -> Any:
+        """The value stored under ``key``, now most recently used, or None."""
+        if key is None:
             return None
-        entry = self._entries.get(fingerprint)
-        if entry is None:
+        value = self._entries.get(key)
+        if value is None:
             self.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
             return None
-        self._entries.move_to_end(fingerprint)
+        self._entries.move_to_end(key)
         self.hits += 1
-        if self._m_hits is not None:
-            self._m_hits.inc()
-        return _copy_summary(entry)
+        return value
 
-    def store(
-        self, fingerprint: Optional[str], summary: SimulationSummary
-    ) -> None:
-        if fingerprint is None:
+    def store(self, key: Optional[str], value: Any) -> None:
+        """Keep ``value`` under ``key``, evicting the least recently used."""
+        if key is None:
             return
-        self._entries[fingerprint] = _copy_summary(summary)
-        self._entries.move_to_end(fingerprint)
-        while len(self._entries) > self.capacity:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > MEMO_CAPACITY:
             self._entries.popitem(last=False)
             self.evictions += 1
-            if self._m_evictions is not None:
-                self._m_evictions.inc()
-        if self._g_size is not None:
-            self._g_size.set(len(self._entries))
 
     def clear(self) -> None:
-        """Drop all entries and reset the instance counters.
-
-        Bound registry counters are cumulative by contract and are not
-        rewound; only the size gauge follows the cleared state.
-        """
+        """Forget every entry and zero the counters, as a fresh process would."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if self._g_size is not None:
-            self._g_size.set(0)
 
 
-#: Process-wide default cache, selected by passing ``cache="default"``
-#: to the experiment runners.
-DEFAULT_CACHE = PlanEvaluationCache()
-
-#: Cache selector accepted by the runners: "default" for the shared
-#: process-wide cache, None to disable, or an explicit cache instance.
-CacheOption = Union[str, None, PlanEvaluationCache]
+#: The process-wide plan-evaluation cache behind :func:`simulate_cached`.
+DEFAULT_CACHE = Memo()
 
 
-def resolve_cache(cache: CacheOption) -> Optional[PlanEvaluationCache]:
-    if cache is None:
-        return None
-    if isinstance(cache, PlanEvaluationCache):
-        return cache
-    if cache == "default":
-        return DEFAULT_CACHE
-    raise ValueError(
-        f"cache must be 'default', None, or a PlanEvaluationCache; got {cache!r}"
-    )
+def publish_plan_cache(registry: MetricRegistry) -> None:
+    """Copy :data:`DEFAULT_CACHE`'s counters into ``registry``.
+
+    Call it once, when the metrics are written: the registry's counters
+    are cumulative, so a second call would count everything twice.
+    """
+    registry.counter(
+        "plan_cache_hits_total", help="Plan-evaluation cache hits."
+    ).inc(DEFAULT_CACHE.hits)
+    registry.counter(
+        "plan_cache_misses_total", help="Plan-evaluation cache misses."
+    ).inc(DEFAULT_CACHE.misses)
+    registry.counter(
+        "plan_cache_evictions_total",
+        help="Entries evicted by the LRU capacity bound.",
+    ).inc(DEFAULT_CACHE.evictions)
+    registry.gauge(
+        "plan_cache_entries", help="Entries currently cached."
+    ).set(len(DEFAULT_CACHE))
+    registry.gauge(
+        "plan_cache_capacity", help="Configured LRU capacity."
+    ).set(MEMO_CAPACITY)
 
 
 def simulate_cached(
@@ -492,36 +441,33 @@ def simulate_cached(
     warmup_s: float,
     config: Optional[SimulationConfig] = None,
     network_cap_bytes_per_s: Optional[float] = None,
-    cache: CacheOption = "default",
     tracer: Optional[Tracer] = None,
 ) -> SimulationSummary:
     """Run (or fetch) one simulation through the plan-evaluation cache.
 
-    The single choke point the experiment runners call: on a cache hit
-    the stored summary is returned without building an engine; on a miss
-    (or for uncacheable inputs) the simulation runs normally and the
-    result is stored. With a ``tracer``, each evaluation emits one
-    wall-domain ``cache.evaluate`` span recording whether it hit.
+    The single choke point the experiment runners call: on a hit in
+    :data:`DEFAULT_CACHE` a copy of the stored summary is returned
+    without building an engine; on a miss (or for uncacheable inputs)
+    the simulation runs normally and a copy of the result is stored.
+    With a ``tracer``, each evaluation emits one wall-domain
+    ``cache.evaluate`` span recording whether it hit.
     """
-    resolved = resolve_cache(cache)
     tr = tracer if tracer is not None else NULL_TRACER
     with tr.wall_span("cache.evaluate", cat="cache") as span:
-        fingerprint = None
-        if resolved is not None:
-            fingerprint = simulation_fingerprint(
-                physical,
-                cluster,
-                plan,
-                rates,
-                duration_s,
-                warmup_s,
-                config=config,
-                network_cap_bytes_per_s=network_cap_bytes_per_s,
-            )
-            hit = resolved.lookup(fingerprint)
-            if hit is not None:
-                span.set(hit=True)
-                return hit
+        fingerprint = simulation_fingerprint(
+            physical,
+            cluster,
+            plan,
+            rates,
+            duration_s,
+            warmup_s,
+            config=config,
+            network_cap_bytes_per_s=network_cap_bytes_per_s,
+        )
+        hit = DEFAULT_CACHE.lookup(fingerprint)
+        if hit is not None:
+            span.set(hit=True)
+            return _copy_summary(hit)
         sim = FluidSimulation(
             physical,
             cluster,
@@ -532,7 +478,6 @@ def simulate_cached(
             tracer=tracer,
         )
         summary = sim.run(duration_s, warmup_s=warmup_s)
-        if resolved is not None:
-            resolved.store(fingerprint, summary)
+        DEFAULT_CACHE.store(fingerprint, _copy_summary(summary))
         span.set(hit=False, cacheable=fingerprint is not None)
     return summary

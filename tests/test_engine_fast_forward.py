@@ -310,7 +310,7 @@ class TestClockExactness:
 
 class TestCacheInteraction:
     def test_fast_forward_shares_cache_entries(self):
-        from repro.simulator.plan_cache import PlanEvaluationCache, simulate_cached
+        from repro.simulator.plan_cache import DEFAULT_CACHE, simulate_cached
 
         g = pipeline()
         physical = PhysicalGraph.expand(g)
@@ -318,16 +318,15 @@ class TestCacheInteraction:
         plan = PlacementPlan(
             {t.uid: i % 2 for i, t in enumerate(physical.tasks)}
         )
-        cache = PlanEvaluationCache(capacity=8)
         first = simulate_cached(
             physical, cluster, plan, {("job", "src"): 2000.0}, 240.0, 100.0,
-            config=SimulationConfig(fast_forward=True), cache=cache,
+            config=SimulationConfig(fast_forward=True),
         )
         second = simulate_cached(
             physical, cluster, plan, {("job", "src"): 2000.0}, 240.0, 100.0,
-            config=SimulationConfig(fast_forward=False), cache=cache,
+            config=SimulationConfig(fast_forward=False),
         )
-        assert cache.hits == 1 and cache.misses == 1
+        assert DEFAULT_CACHE.hits == 1 and DEFAULT_CACHE.misses == 1
         assert first == second
 
 

@@ -32,7 +32,12 @@ from repro.observability.tracefile import (
 from repro.observability.__main__ import main as obs_main
 from repro.placement.caps import CapsStrategy
 from repro.simulator.engine import FluidSimulation, SimulationConfig
-from repro.simulator.plan_cache import PlanEvaluationCache, simulate_cached
+from repro.simulator.plan_cache import (
+    DEFAULT_CACHE,
+    MEMO_CAPACITY,
+    publish_plan_cache,
+    simulate_cached,
+)
 from repro.simulator.results import SimulationSummary
 from repro.workloads.rates import SquareWaveRate
 
@@ -203,54 +208,47 @@ class TestMetricRegistry:
 
 
 # ----------------------------------------------------------------------
-# Plan-evaluation cache stats (satellite: hit/miss/eviction exposure)
+# Plan-evaluation cache stats, copied into a registry at write time
 # ----------------------------------------------------------------------
 def _summary():
     return SimulationSummary(jobs={}, duration_s=1.0, warmup_s=0.0)
 
 
-class TestPlanCacheStats:
-    def test_stats_snapshot_tracks_hits_misses_evictions(self):
-        cache = PlanEvaluationCache(capacity=2)
-        cache.lookup("a")
-        cache.store("a", _summary())
-        cache.lookup("a")
-        cache.store("b", _summary())
-        cache.store("c", _summary())  # evicts "a" (LRU after the hit moved it? no: hit moved a to end; b is oldest)
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] == 1
-        assert stats["size"] == 2
-        assert stats["capacity"] == 2
+def _published():
+    reg = MetricRegistry()
+    publish_plan_cache(reg)
+    return reg, {m["name"]: m["value"] for m in reg.snapshot()["metrics"]}
 
-    def test_registry_binding_carries_prior_counts(self):
-        cache = PlanEvaluationCache(capacity=1)
-        cache.lookup("a")
-        cache.store("a", _summary())
-        cache.store("b", _summary())  # eviction before binding
-        reg = MetricRegistry()
-        cache.bind_registry(reg)
-        values = {
-            m["name"]: m["value"] for m in reg.snapshot()["metrics"]
+
+class TestPlanCacheStats:
+    def test_publish_copies_the_counters_into_the_registry(self):
+        DEFAULT_CACHE.lookup("a")
+        DEFAULT_CACHE.lookup("b")
+        for i in range(MEMO_CAPACITY + 1):
+            DEFAULT_CACHE.store(f"k{i}", _summary())
+        for _ in range(3):
+            DEFAULT_CACHE.lookup(f"k{MEMO_CAPACITY}")
+        reg, values = _published()
+        assert values == {
+            "plan_cache_hits_total": 3,
+            "plan_cache_misses_total": 2,
+            "plan_cache_evictions_total": 1,
+            "plan_cache_entries": MEMO_CAPACITY,
+            "plan_cache_capacity": MEMO_CAPACITY,
         }
-        assert values["plan_cache_misses_total"] == 1
-        assert values["plan_cache_evictions_total"] == 1
-        assert values["plan_cache_entries"] == 1
-        assert values["plan_cache_capacity"] == 1
-        cache.lookup("b")  # hit, post-binding
-        assert reg.counter("plan_cache_hits_total").value == 1
+        assert "# HELP plan_cache_hits_total Plan-evaluation cache hits." in (
+            reg.to_prometheus()
+        )
 
     def test_clear_resets_instance_counters_not_registry(self):
-        reg = MetricRegistry()
-        cache = PlanEvaluationCache(capacity=4, registry=reg)
-        cache.lookup("a")
-        cache.clear()
-        assert cache.stats() == {
-            "hits": 0, "misses": 0, "evictions": 0, "size": 0, "capacity": 4,
-        }
+        DEFAULT_CACHE.lookup("a")
+        DEFAULT_CACHE.store("a", _summary())
+        reg, _ = _published()
+        DEFAULT_CACHE.clear()
+        assert (DEFAULT_CACHE.hits, DEFAULT_CACHE.misses) == (0, 0)
+        assert DEFAULT_CACHE.evictions == len(DEFAULT_CACHE) == 0
         assert reg.counter("plan_cache_misses_total").value == 1
-        assert reg.gauge("plan_cache_entries").value == 0
+        assert reg.gauge("plan_cache_entries").value == 1
 
     def test_simulate_cached_traces_hit_and_miss(self):
         graph = tiny_query().with_parallelism({"src": 1, "work": 1})
@@ -260,16 +258,15 @@ class TestPlanCacheStats:
                 {t.uid: CLUSTER.workers[0].worker_id for t in physical.tasks}
             )
         ]))
-        cache = PlanEvaluationCache()
         tr = Tracer(run_id="cache")
         for _ in range(2):
             simulate_cached(
                 physical, CLUSTER, plan, {("tiny", "src"): 100.0},
-                duration_s=10.0, warmup_s=0.0, cache=cache, tracer=tr,
+                duration_s=10.0, warmup_s=0.0, tracer=tr,
             )
         spans = [r for r in tr.stream("wall") if r["name"] == "cache.evaluate"]
         assert [s["args"]["hit"] for s in spans] == [False, True]
-        assert cache.stats()["hits"] == 1
+        assert DEFAULT_CACHE.hits == 1
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A repeated placement problem must return exactly what a fresh
 computation returns, without tuning or searching; any change to an
-input the decision reads must miss; decisions a wall-clock budget cut
-are never stored; and the memo stays within its LRU bound.
+input the decision reads must miss; and decisions a wall-clock budget
+cut are never stored. The LRU bound is ``test_plan_cache``'s.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.dataflow.physical import PhysicalGraph
 from repro.observability import MetricRegistry, Tracer
 from repro.placement import caps
-from repro.placement.caps import MEMO_CAPACITY, CapsStrategy, clear_placement_memo
+from repro.placement.caps import PLACEMENT_MEMO, CapsStrategy
 from repro.simulator.plan_cache import placement_fingerprint
 from repro.workloads import ALL_QUERIES
 from tests.test_plan_cache import (
@@ -88,7 +88,7 @@ class TestHitEqualsFreshComputation:
         assert search_runs == []
         assert second.last_cost_model is not None
 
-        clear_placement_memo()
+        PLACEMENT_MEMO.clear()
         fresh = strategy()
         recomputed = _decision(fresh, fresh.place(physical, cluster))
         assert search_runs, "a cleared memo must compute again"
@@ -271,7 +271,7 @@ class TestStoreRule:
     def test_an_uncut_decision_is_stored(self):
         physical, cluster, strategy = _problem()
         strategy.place(physical, cluster)
-        assert len(caps._MEMO) == 1
+        assert len(PLACEMENT_MEMO) == 1
 
     @pytest.mark.parametrize(
         "timed_out, truncated", [(True, 0), (False, 1), (True, 2)]
@@ -280,7 +280,7 @@ class TestStoreRule:
         monkeypatch.setattr(ThresholdAutoTuner, "tune", _tuned(timed_out, truncated))
         physical, cluster, strategy = _problem()
         strategy.place(physical, cluster)
-        assert len(caps._MEMO) == 0
+        assert len(PLACEMENT_MEMO) == 0
 
     def test_an_unexhausted_final_search_is_not_stored(self, monkeypatch):
         real = caps.run_search
@@ -293,7 +293,7 @@ class TestStoreRule:
         monkeypatch.setattr(caps, "run_search", cut)
         physical, cluster, strategy = _problem()
         strategy.place(physical, cluster)
-        assert len(caps._MEMO) == 0
+        assert len(PLACEMENT_MEMO) == 0
 
     def test_a_greedy_fallback_is_stored_and_replayed(self, monkeypatch):
         real = caps.run_search
@@ -307,7 +307,7 @@ class TestStoreRule:
         physical, cluster, strategy = _problem(registry=registry)
         first = strategy.place(physical, cluster)
         assert strategy.last_fallback == "greedy"
-        assert len(caps._MEMO) == 1
+        assert len(PLACEMENT_MEMO) == 1
         assert strategy.place(physical, cluster).assignment == first.assignment
         assert strategy.last_fallback == "greedy"
         fallbacks = registry.counter(
@@ -315,30 +315,6 @@ class TestStoreRule:
         )
         assert fallbacks.value == 2
         assert registry.counter("caps_search_runs_total").value == 1
-
-
-class TestBound:
-    def test_the_lru_never_exceeds_its_capacity(self):
-        physical = _two_stage()
-        cluster = Cluster.homogeneous(M5D_2XLARGE.with_slots(4), count=2)
-
-        def strategy(i):
-            # explicit thresholds skip the autotune, so each place is cheap
-            return CapsStrategy(
-                {("g", "src"): 1000.0 + i}, thresholds=CostVector(1.0, 1.0, 1.0)
-            )
-
-        keys = []
-        for i in range(MEMO_CAPACITY + 8):
-            strategy(i).place(physical, cluster)
-            keys.append(_key(physical, cluster, strategy(i)))
-            assert len(caps._MEMO) <= MEMO_CAPACITY
-            if i == MEMO_CAPACITY // 2:
-                strategy(0).place(physical, cluster)  # a hit refreshes it
-        assert len(caps._MEMO) == MEMO_CAPACITY
-        assert keys[0] in caps._MEMO
-        assert not any(key in caps._MEMO for key in keys[1:9])
-        assert all(key in caps._MEMO for key in keys[9:])
 
 
 class TestObservability:

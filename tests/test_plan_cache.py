@@ -19,12 +19,12 @@ from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
 from repro.dataflow.physical import PhysicalGraph
 from repro.simulator.engine import SimulationConfig
 from repro.simulator.plan_cache import (
-    PlanEvaluationCache,
-    resolve_cache,
+    DEFAULT_CACHE,
+    MEMO_CAPACITY,
+    Memo,
     simulate_cached,
     simulation_fingerprint,
 )
-from repro.simulator.results import SimulationSummary
 from repro.workloads import query_by_name
 from repro.workloads.rates import StepSchedule
 
@@ -181,89 +181,56 @@ class TestCacheBehaviour:
     def test_warm_hit_is_byte_identical(self):
         physical, cluster = small_deployment()
         plan = plan_on_worker(physical, 0)
-        cache = PlanEvaluationCache()
-        cold = simulate_cached(
-            physical, cluster, plan, RATES, cache=cache, **WINDOW
-        )
-        warm = simulate_cached(
-            physical, cluster, plan, RATES, cache=cache, **WINDOW
-        )
-        assert cache.misses == 1
-        assert cache.hits == 1
+        cold = simulate_cached(physical, cluster, plan, RATES, **WINDOW)
+        warm = simulate_cached(physical, cluster, plan, RATES, **WINDOW)
+        assert DEFAULT_CACHE.misses == 1
+        assert DEFAULT_CACHE.hits == 1
         assert warm.only == cold.only
 
     def test_renamed_worker_plan_hits(self):
         physical, cluster = small_deployment()
-        cache = PlanEvaluationCache()
         first = simulate_cached(
-            physical, cluster, plan_on_worker(physical, 0), RATES,
-            cache=cache, **WINDOW
+            physical, cluster, plan_on_worker(physical, 0), RATES, **WINDOW
         )
         second = simulate_cached(
-            physical, cluster, plan_on_worker(physical, 1), RATES,
-            cache=cache, **WINDOW
+            physical, cluster, plan_on_worker(physical, 1), RATES, **WINDOW
         )
-        assert cache.hits == 1
+        assert DEFAULT_CACHE.hits == 1
         assert second.only == first.only
-
-    def test_cache_none_bypasses(self):
-        physical, cluster = small_deployment()
-        plan = plan_on_worker(physical, 0)
-        a = simulate_cached(physical, cluster, plan, RATES, cache=None, **WINDOW)
-        b = simulate_cached(physical, cluster, plan, RATES, cache=None, **WINDOW)
-        assert a.only == b.only
 
     def test_fetched_summary_is_a_copy(self):
         physical, cluster = small_deployment()
         plan = plan_on_worker(physical, 0)
-        cache = PlanEvaluationCache()
-        first = simulate_cached(
-            physical, cluster, plan, RATES, cache=cache, **WINDOW
-        )
+        first = simulate_cached(physical, cluster, plan, RATES, **WINDOW)
         first.jobs.clear()
-        again = simulate_cached(
-            physical, cluster, plan, RATES, cache=cache, **WINDOW
-        )
+        again = simulate_cached(physical, cluster, plan, RATES, **WINDOW)
         assert again.jobs, "cache entry was corrupted by caller mutation"
+        again.jobs.clear()
+        assert simulate_cached(physical, cluster, plan, RATES, **WINDOW).jobs
 
     def test_lru_eviction(self):
-        cache = PlanEvaluationCache(capacity=2)
-        summary = SimulationSummary(jobs={}, duration_s=1.0, warmup_s=0.0)
-        for key in ("a", "b", "c"):
-            cache.store(key, summary)
-        assert len(cache) == 2
-        assert cache.lookup("a") is None
-        assert cache.lookup("c") is not None
-
-    def test_lru_touch_on_lookup(self):
-        cache = PlanEvaluationCache(capacity=2)
-        summary = SimulationSummary(jobs={}, duration_s=1.0, warmup_s=0.0)
-        cache.store("a", summary)
-        cache.store("b", summary)
-        cache.lookup("a")  # refresh a; b becomes the eviction candidate
-        cache.store("c", summary)
-        assert cache.lookup("a") is not None
-        assert cache.lookup("b") is None
+        """The one LRU bound of all three memos: a full memo evicts
+        exactly its least recently used key, and a lookup refreshes."""
+        memo = Memo()
+        keys = [f"k{i}" for i in range(MEMO_CAPACITY)]
+        for key in keys:
+            memo.store(key, key)
+        assert memo.lookup(keys[0]) == keys[0]
+        memo.store("new", "new")
+        assert len(memo) == MEMO_CAPACITY
+        assert memo.evictions == 1
+        assert memo.lookup(keys[1]) is None
+        assert [memo.lookup(key) for key in keys[2:]] == keys[2:]
+        assert memo.lookup(keys[0]) == keys[0]
+        assert memo.lookup("new") == "new"
+        assert (memo.hits, memo.misses) == (MEMO_CAPACITY + 1, 1)
 
     def test_none_fingerprint_is_a_no_op(self):
-        cache = PlanEvaluationCache()
-        summary = SimulationSummary(jobs={}, duration_s=1.0, warmup_s=0.0)
-        cache.store(None, summary)
-        assert len(cache) == 0
-        assert cache.lookup(None) is None
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            PlanEvaluationCache(capacity=0)
-
-    def test_resolve_cache_options(self):
-        explicit = PlanEvaluationCache()
-        assert resolve_cache(explicit) is explicit
-        assert resolve_cache(None) is None
-        assert resolve_cache("default") is not None
-        with pytest.raises(ValueError):
-            resolve_cache("bogus")
+        memo = Memo()
+        memo.store(None, "value")
+        assert len(memo) == 0
+        assert memo.lookup(None) is None
+        assert memo.hits == 0 and memo.misses == 0
 
 
 def deployment_with_map_spec(**overrides):

@@ -3,22 +3,23 @@
 A profiling deployment the process profiled before must return exactly
 what a fresh profiling run returns, without building an engine; any
 change to an input the run reads must miss; callers get their own
-dicts; and the memo stays within its LRU bound.
+dicts; and an invalid graph raises whatever the memo holds. The LRU
+bound is ``test_plan_cache``'s.
 """
 
 import math
 
 import pytest
 
-from repro.controller import profiler
-from repro.controller.profiler import (
-    MEMO_CAPACITY,
-    CostProfiler,
-    clear_profile_memo,
-)
+from repro.controller.profiler import PROFILE_MEMO, CostProfiler
 from repro.core.cost_model import UnitCosts
 from repro.dataflow.cluster import M5D_2XLARGE, R5D_XLARGE
-from repro.dataflow.graph import LogicalGraph, OperatorSpec, Partitioning
+from repro.dataflow.graph import (
+    GraphValidationError,
+    LogicalGraph,
+    OperatorSpec,
+    Partitioning,
+)
 from repro.dataflow.physical import PhysicalGraph
 from repro.simulator.engine import FluidSimulation, SimulationConfig
 from repro.workloads import ALL_QUERIES
@@ -52,7 +53,7 @@ def test_a_hit_equals_a_fresh_profile_and_builds_no_engine(
     hit = CostProfiler(spec).profile(preset.build())
     assert engine_builds == []
 
-    clear_profile_memo()
+    PROFILE_MEMO.clear()
     fresh = CostProfiler(spec).profile(preset.build())
     assert engine_builds == [1], "a cleared memo must profile again"
     assert hit == fresh == stored
@@ -159,7 +160,7 @@ def test_tasks_are_keyed_by_their_triple_not_their_uid(engine_builds):
 
 
 # ----------------------------------------------------------------------
-# Copies and bound
+# Copies and validation
 # ----------------------------------------------------------------------
 def test_a_returned_dict_is_the_callers_own():
     profiler_, graph = _case()
@@ -173,25 +174,22 @@ def test_a_returned_dict_is_the_callers_own():
     assert profiler_.profile(graph) == expected
 
 
-def test_the_lru_never_exceeds_its_capacity():
-    graph = LogicalGraph("one")
-    graph.add_operator(OperatorSpec("src", is_source=True, cpu_per_record=1e-4), 1)
+def _forward_pair(map_parallelism):
+    graph = LogicalGraph("fwd")
+    graph.add_operator(OperatorSpec("src", is_source=True, cpu_per_record=1e-4), 2)
+    graph.add_operator(OperatorSpec("map", cpu_per_record=2e-4), map_parallelism)
+    graph.add_edge("src", "map", Partitioning.FORWARD)
+    return graph
 
-    def profile(i):
-        # two ticks each, so 264 profiling runs stay cheap
-        CostProfiler(
-            R5D_XLARGE, profiling_rate=100.0 + i, duration_s=2.0, warmup_s=0.0
-        ).profile(graph)
 
-    keys = []
-    for i in range(MEMO_CAPACITY + 8):
-        profile(i)
-        keys.append(next(reversed(profiler._MEMO)))
-        assert len(profiler._MEMO) <= MEMO_CAPACITY
-        if i == MEMO_CAPACITY // 2:
-            profile(0)  # a hit refreshes it
-            assert next(reversed(profiler._MEMO)) == keys[0]
-    assert len(profiler._MEMO) == MEMO_CAPACITY
-    assert keys[0] in profiler._MEMO
-    assert not any(key in profiler._MEMO for key in keys[1:9])
-    assert all(key in profiler._MEMO for key in keys[9:])
+def test_an_invalid_graph_raises_before_and_after_the_memo_is_warm():
+    # A FORWARD edge from parallelism 2 to 3 is invalid, but its
+    # parallelism-1 profiling clone equals the valid 2-to-2 graph's, so
+    # only validating the caller's graph before the lookup rejects it.
+    profiler_ = CostProfiler(R5D_XLARGE, duration_s=2.0, warmup_s=0.0)
+    with pytest.raises(GraphValidationError, match="FORWARD"):
+        profiler_.profile(_forward_pair(3))
+    profiler_.profile(_forward_pair(2))
+    assert len(PROFILE_MEMO) == 1
+    with pytest.raises(GraphValidationError, match="FORWARD"):
+        profiler_.profile(_forward_pair(3))
