@@ -221,7 +221,19 @@ def _published():
 
 
 class TestPlanCacheStats:
-    def test_publish_copies_the_counters_into_the_registry(self):
+    def test_stats_snapshot_tracks_hits_misses_evictions(self):
+        DEFAULT_CACHE.lookup("a")
+        DEFAULT_CACHE.store("a", _summary())
+        DEFAULT_CACHE.lookup("a")
+        for i in range(MEMO_CAPACITY):
+            DEFAULT_CACHE.store(f"k{i}", _summary())  # the last evicts "a"
+        assert DEFAULT_CACHE.hits == 1
+        assert DEFAULT_CACHE.misses == 1
+        assert DEFAULT_CACHE.evictions == 1
+        assert len(DEFAULT_CACHE) == MEMO_CAPACITY
+
+    def test_registry_binding_carries_prior_counts(self):
+        """Publishing copies every count made before the registry existed."""
         DEFAULT_CACHE.lookup("a")
         DEFAULT_CACHE.lookup("b")
         for i in range(MEMO_CAPACITY + 1):

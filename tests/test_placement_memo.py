@@ -2,8 +2,8 @@
 
 A repeated placement problem must return exactly what a fresh
 computation returns, without tuning or searching; any change to an
-input the decision reads must miss; and decisions a wall-clock budget
-cut are never stored. The LRU bound is ``test_plan_cache``'s.
+input the decision reads must miss; decisions a wall-clock budget cut
+are never stored; and the memo stays within its LRU bound.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from repro.dataflow.physical import PhysicalGraph
 from repro.observability import MetricRegistry, Tracer
 from repro.placement import caps
 from repro.placement.caps import PLACEMENT_MEMO, CapsStrategy
-from repro.simulator.plan_cache import placement_fingerprint
+from repro.simulator.plan_cache import MEMO_CAPACITY, placement_fingerprint
 from repro.workloads import ALL_QUERIES
 from tests.test_plan_cache import (
     flip_reroutable,
@@ -315,6 +315,32 @@ class TestStoreRule:
         )
         assert fallbacks.value == 2
         assert registry.counter("caps_search_runs_total").value == 1
+
+
+class TestBound:
+    def test_the_lru_never_exceeds_its_capacity(self):
+        physical = _two_stage()
+        cluster = Cluster.homogeneous(M5D_2XLARGE.with_slots(4), count=2)
+
+        def strategy(i):
+            # explicit thresholds skip the autotune, so each place is cheap
+            return CapsStrategy(
+                {("g", "src"): 1000.0 + i}, thresholds=CostVector(1.0, 1.0, 1.0)
+            )
+
+        keys = []
+        for i in range(MEMO_CAPACITY + 8):
+            strategy(i).place(physical, cluster)
+            keys.append(_key(physical, cluster, strategy(i)))
+            assert len(PLACEMENT_MEMO) <= MEMO_CAPACITY
+            if i == MEMO_CAPACITY // 2:
+                strategy(0).place(physical, cluster)  # a hit refreshes it
+                assert PLACEMENT_MEMO.hits == 1
+        assert len(PLACEMENT_MEMO) == MEMO_CAPACITY
+        assert PLACEMENT_MEMO.evictions == 8
+        assert PLACEMENT_MEMO.lookup(keys[0]) is not None
+        assert all(PLACEMENT_MEMO.lookup(key) is None for key in keys[1:9])
+        assert all(PLACEMENT_MEMO.lookup(key) is not None for key in keys[9:])
 
 
 class TestObservability:

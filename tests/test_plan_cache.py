@@ -209,8 +209,18 @@ class TestCacheBehaviour:
         assert simulate_cached(physical, cluster, plan, RATES, **WINDOW).jobs
 
     def test_lru_eviction(self):
-        """The one LRU bound of all three memos: a full memo evicts
-        exactly its least recently used key, and a lookup refreshes."""
+        """A full memo evicts exactly its oldest key, one per store."""
+        memo = Memo()
+        keys = [f"k{i}" for i in range(MEMO_CAPACITY + 1)]
+        for key in keys:
+            memo.store(key, key)
+        assert len(memo) == MEMO_CAPACITY
+        assert memo.evictions == 1
+        assert memo.lookup(keys[0]) is None
+        assert [memo.lookup(key) for key in keys[1:]] == keys[1:]
+
+    def test_lru_touch_on_lookup(self):
+        """A lookup refreshes its key: the next eviction skips it."""
         memo = Memo()
         keys = [f"k{i}" for i in range(MEMO_CAPACITY)]
         for key in keys:

@@ -3,8 +3,8 @@
 A profiling deployment the process profiled before must return exactly
 what a fresh profiling run returns, without building an engine; any
 change to an input the run reads must miss; callers get their own
-dicts; and an invalid graph raises whatever the memo holds. The LRU
-bound is ``test_plan_cache``'s.
+dicts; an invalid graph raises whatever the memo holds; and the memo
+stays within its LRU bound.
 """
 
 import math
@@ -22,6 +22,7 @@ from repro.dataflow.graph import (
 )
 from repro.dataflow.physical import PhysicalGraph
 from repro.simulator.engine import FluidSimulation, SimulationConfig
+from repro.simulator.plan_cache import MEMO_CAPACITY, profile_fingerprint
 from repro.workloads import ALL_QUERIES
 
 
@@ -160,7 +161,7 @@ def test_tasks_are_keyed_by_their_triple_not_their_uid(engine_builds):
 
 
 # ----------------------------------------------------------------------
-# Copies and validation
+# Copies, validation and bound
 # ----------------------------------------------------------------------
 def test_a_returned_dict_is_the_callers_own():
     profiler_, graph = _case()
@@ -193,3 +194,35 @@ def test_an_invalid_graph_raises_before_and_after_the_memo_is_warm():
     assert len(PROFILE_MEMO) == 1
     with pytest.raises(GraphValidationError, match="FORWARD"):
         profiler_.profile(_forward_pair(3))
+
+
+def test_the_lru_never_exceeds_its_capacity():
+    graph = LogicalGraph("one")
+    graph.add_operator(OperatorSpec("src", is_source=True, cpu_per_record=1e-4), 1)
+    physical = PhysicalGraph.expand(graph)  # its own profiling clone
+
+    def profiler_(i):
+        # two ticks each, so 264 profiling runs stay cheap
+        return CostProfiler(
+            R5D_XLARGE, profiling_rate=100.0 + i, duration_s=2.0, warmup_s=0.0
+        )
+
+    def key(p):
+        return profile_fingerprint(
+            physical, p.worker_spec, p.profiling_rate,
+            p.duration_s, p.warmup_s, p.config,
+        )
+
+    keys = []
+    for i in range(MEMO_CAPACITY + 8):
+        profiler_(i).profile(graph)
+        keys.append(key(profiler_(i)))
+        assert len(PROFILE_MEMO) <= MEMO_CAPACITY
+        if i == MEMO_CAPACITY // 2:
+            profiler_(0).profile(graph)  # a hit refreshes it
+            assert PROFILE_MEMO.hits == 1
+    assert len(PROFILE_MEMO) == MEMO_CAPACITY
+    assert PROFILE_MEMO.evictions == 8
+    assert PROFILE_MEMO.lookup(keys[0]) is not None
+    assert all(PROFILE_MEMO.lookup(key) is None for key in keys[1:9])
+    assert all(PROFILE_MEMO.lookup(key) is not None for key in keys[9:])
