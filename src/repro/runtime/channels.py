@@ -60,9 +60,16 @@ class BoundedChannel:
         name: Diagnostic name, conventionally ``"src_uid->dst_uid"``.
         capacity: Credit budget in data records; ``None`` disables the
             credit check entirely.
+
+    ``items`` is the queue of ``(ticket, kind, payload)`` tuples and
+    ``occupancy`` the number of data records in it. A consumer may
+    read the head (``items[0]``) directly to pick the lowest ticket
+    across its inputs; it dequeues only through :meth:`get`, and
+    producers enqueue only through the put methods, which keep
+    ``occupancy`` and the stats.
     """
 
-    __slots__ = ("name", "capacity", "stats", "_items", "_occupancy")
+    __slots__ = ("name", "capacity", "stats", "items", "occupancy")
 
     def __init__(self, name: str, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
@@ -70,26 +77,21 @@ class BoundedChannel:
         self.name = name
         self.capacity = capacity
         self.stats = ChannelStats()
-        self._items: Deque[Tuple[int, int, Any]] = deque()
-        self._occupancy = 0  # data records only; watermarks are free
+        self.items: Deque[Tuple[int, int, Any]] = deque()
+        self.occupancy = 0  # data records only; watermarks are free
 
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        """Data records currently buffered."""
-        return self._occupancy
-
     def free_credit(self) -> Optional[int]:
         """Remaining credit, or ``None`` for an unbounded channel."""
         if self.capacity is None:
             return None
-        return self.capacity - self._occupancy
+        return self.capacity - self.occupancy
 
     def try_put(self, ticket: int, record: Record) -> bool:
         """Enqueue a data record if credit allows; False when blocked."""
-        if self.capacity is not None and self._occupancy >= self.capacity:
+        if self.capacity is not None and self.occupancy >= self.capacity:
             self.stats.blocked_puts += 1
             return False
         self._enqueue_record(ticket, record)
@@ -97,48 +99,48 @@ class BoundedChannel:
 
     def force_put(self, ticket: int, record: Record) -> None:
         """Enqueue a data record ignoring credit (window flush path)."""
-        if self.capacity is not None and self._occupancy >= self.capacity:
+        if self.capacity is not None and self.occupancy >= self.capacity:
             self.stats.overflow_puts += 1
         self._enqueue_record(ticket, record)
 
     def put_watermark(self, ticket: int, watermark_ms: int) -> None:
         """Enqueue an in-band watermark (never consumes credit)."""
         self.stats.watermarks += 1
-        self._items.append((ticket, ITEM_WATERMARK, watermark_ms))
+        self.items.append((ticket, ITEM_WATERMARK, watermark_ms))
 
     def _enqueue_record(self, ticket: int, record: Record) -> None:
-        self._items.append((ticket, ITEM_RECORD, record))
-        self._occupancy += 1
+        self.items.append((ticket, ITEM_RECORD, record))
+        self.occupancy += 1
         self.stats.enqueued += 1
-        if self._occupancy > self.stats.peak_occupancy:
-            self.stats.peak_occupancy = self._occupancy
+        if self.occupancy > self.stats.peak_occupancy:
+            self.stats.peak_occupancy = self.occupancy
 
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
     def head_ticket(self) -> Optional[int]:
         """Ticket of the next item, or ``None`` when empty."""
-        if not self._items:
+        if not self.items:
             return None
-        return self._items[0][0]
+        return self.items[0][0]
 
     def head_kind(self) -> Optional[int]:
         """Kind of the next item, or ``None`` when empty."""
-        if not self._items:
+        if not self.items:
             return None
-        return self._items[0][1]
+        return self.items[0][1]
 
     def get(self) -> Tuple[int, int, Any]:
         """Dequeue the next ``(ticket, kind, payload)`` item."""
-        ticket, kind, payload = self._items.popleft()
-        if kind == ITEM_RECORD:
-            self._occupancy -= 1
+        item = self.items.popleft()
+        if item[1] == ITEM_RECORD:
+            self.occupancy -= 1
             self.stats.dequeued += 1
-        return ticket, kind, payload
+        return item
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else str(self.capacity)
-        return f"BoundedChannel({self.name}, {self._occupancy}/{cap})"
+        return f"BoundedChannel({self.name}, {self.occupancy}/{cap})"

@@ -105,48 +105,59 @@ class Pipeline:
     def run(self) -> PipelineResult:
         """Execute to completion and return outputs plus statistics."""
         check_chain_shape(len(self._sources), self._operators)
-        head = self._operators[0]
+        operators = self._operators
+        head = operators[0]
         outputs: List[Record] = []
         ingested = 0
         watermark = -(2**62)
 
         def push(stage: int, records: List[Record]) -> None:
-            if stage >= len(self._operators):
+            if stage >= len(operators):
                 outputs.extend(records)
                 return
-            operator = self._operators[stage]
+            operator = operators[stage]
             for record in records:
-                push(stage + 1, operator.process(record))
+                produced = operator.process(record)
+                if produced:
+                    push(stage + 1, produced)
 
         def advance_watermark(new_watermark: int) -> None:
             nonlocal watermark
             if new_watermark <= watermark:
                 return
             watermark = new_watermark
-            for stage, operator in enumerate(self._operators):
+            for stage, operator in enumerate(operators):
+                # skip an operator that cannot fire (Operator.can_fire)
+                if not operator.can_fire(watermark):
+                    continue
                 fired = operator.on_watermark(watermark)
                 if fired:
                     push(stage + 1, fired)
 
+        join_left = (
+            self._sources[0][0] if isinstance(head, WindowJoinOperator) else None
+        )
         for timestamp, tag, record in _merge_sources(self._sources):
             ingested += 1
-            if isinstance(head, WindowJoinOperator):
+            if join_left is None:
+                produced = head.process(record)
+            else:
                 side = (
                     WindowJoinOperator.LEFT
-                    if tag == self._sources[0][0]
+                    if tag == join_left
                     else WindowJoinOperator.RIGHT
                 )
-                push(1, head.process_side(side, record))
-            else:
-                push(1, head.process(record))
+                produced = head.process_side(side, record)
+            if produced:
+                push(1, produced)
             advance_watermark(timestamp)
 
         advance_watermark(_END_OF_TIME)
 
         return PipelineResult(
             outputs=outputs,
-            operator_stats={op.name: op.stats for op in self._operators},
-            state_stats={op.name: op.state_stats() for op in self._operators},
+            operator_stats={op.name: op.stats for op in operators},
+            state_stats={op.name: op.state_stats() for op in operators},
             records_ingested=ingested,
         )
 

@@ -10,6 +10,7 @@ state access bytes.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -56,6 +57,20 @@ class Operator(abc.ABC):
     def on_watermark(self, watermark_ms: int) -> List[Record]:
         """React to event-time progress; default: nothing to trigger."""
         return []
+
+    def can_fire(self, watermark_ms: int) -> bool:
+        """Could :meth:`on_watermark` emit, or touch state, at this watermark?
+
+        When this is False, the executors skip the call, and skipping it
+        must change nothing. True is always safe. The base answers
+        False only while ``on_watermark`` is the base's, which fires
+        nothing; an operator that overrides ``on_watermark`` without
+        declaring its own readiness is called on every advance. The
+        window operators' readiness likewise speaks only for their own
+        ``on_watermark``: a subclass that replaces it is called on
+        every advance too.
+        """
+        return type(self).on_watermark is not Operator.on_watermark
 
     def state_stats(self) -> StateStats:
         return self.state.stats if self.state is not None else StateStats()
@@ -133,6 +148,9 @@ class WindowAggregateOperator(Operator):
         self.result_fn = result_fn
         self.state = KeyedState()
         self._pending: Set[Tuple[Any, Window]] = set()
+        # the earliest end among pending windows; no watermark below it
+        # fires anything
+        self._next_end: float = math.inf
 
     def process(self, record: Record) -> List[Record]:
         self._count_in()
@@ -145,13 +163,27 @@ class WindowAggregateOperator(Operator):
             accumulator = self.add_fn(accumulator, record.value)
             self.state.put(slot, accumulator)
             self._pending.add(slot)
+            if window.end_ms < self._next_end:
+                self._next_end = window.end_ms
         return self._emit([])
 
+    def can_fire(self, watermark_ms: int) -> bool:
+        """True once the watermark reaches the earliest pending window end."""
+        if type(self).on_watermark is not WindowAggregateOperator.on_watermark:
+            return True
+        return self._next_end <= watermark_ms
+
     def on_watermark(self, watermark_ms: int) -> List[Record]:
-        ready = sorted(
-            (slot for slot in self._pending if slot[1].end_ms <= watermark_ms),
-            key=lambda slot: (slot[1], repr(slot[0])),
-        )
+        ready = []
+        next_end = math.inf
+        for slot in self._pending:
+            end_ms = slot[1].end_ms
+            if end_ms <= watermark_ms:
+                ready.append(slot)
+            elif end_ms < next_end:
+                next_end = end_ms
+        ready.sort(key=lambda slot: (slot[1], repr(slot[0])))
+        self._next_end = next_end
         outputs: List[Record] = []
         for key, window in ready:
             accumulator = self.state.get((key, window))
@@ -189,6 +221,13 @@ class SessionWindowOperator(Operator):
         self.add_fn = add_fn
         self.result_fn = result_fn
         self.state = KeyedState()
+
+    def can_fire(self, watermark_ms: int) -> bool:
+        """True once the watermark passes the top of the session end heap
+        (which may be stale: then the call closes nothing)."""
+        if type(self).on_watermark is not SessionWindowOperator.on_watermark:
+            return True
+        return self.merger.may_expire(watermark_ms)
 
     def process(self, record: Record) -> List[Record]:
         self._count_in()
@@ -295,6 +334,9 @@ class WindowJoinOperator(Operator):
         # only that window's own slots instead of rescanning the entire
         # keyed state per pending window.
         self._window_slots: Dict[Window, Dict[Tuple[str, Any], None]] = {}
+        # the earliest end among windows with slots; no watermark below
+        # it fires anything
+        self._next_end: float = math.inf
 
     def _window_of(self, timestamp_ms: int) -> Window:
         start = (timestamp_ms // self.window_size_ms) * self.window_size_ms
@@ -311,7 +353,12 @@ class WindowJoinOperator(Operator):
         buffer = self.state.get(slot) or []
         buffer.append(record.value)
         self.state.put(slot, buffer)
-        self._window_slots.setdefault(window, {})[(side, key)] = None
+        slots = self._window_slots.get(window)
+        if slots is None:
+            slots = self._window_slots[window] = {}
+            if window.end_ms < self._next_end:
+                self._next_end = window.end_ms
+        slots[(side, key)] = None
         return self._emit([])
 
     def process(self, record: Record) -> List[Record]:
@@ -319,11 +366,23 @@ class WindowJoinOperator(Operator):
             "WindowJoinOperator needs tagged input; use process_side()"
         )
 
+    def can_fire(self, watermark_ms: int) -> bool:
+        """True once the watermark reaches the earliest pending window end."""
+        if type(self).on_watermark is not WindowJoinOperator.on_watermark:
+            return True
+        return self._next_end <= watermark_ms
+
     def on_watermark(self, watermark_ms: int) -> List[Record]:
         outputs: List[Record] = []
-        fired = sorted(
-            w for w in self._window_slots if w.end_ms <= watermark_ms
-        )
+        fired = []
+        next_end = math.inf
+        for window in self._window_slots:
+            if window.end_ms <= watermark_ms:
+                fired.append(window)
+            elif window.end_ms < next_end:
+                next_end = window.end_ms
+        fired.sort()
+        self._next_end = next_end
         for window in fired:
             # Slot-creation order within the window equals the global
             # state-insertion order restricted to it, so outputs are

@@ -39,13 +39,16 @@ What runs depends on what the executor is given:
 
 Watermarks travel in-band: each instance tracks the last watermark per
 input channel and advances to the minimum across its inputs, firing its
-operator's windows exactly once per advance. Window flushes bypass
-channel credit (tracked as overflow) so event-time progress can never
-deadlock behind a full buffer.
+operator's windows exactly once per advance (an operator whose
+:meth:`~repro.runtime.operators.Operator.can_fire` says nothing can
+fire is not called). Window flushes bypass channel credit (tracked as
+overflow) so event-time progress can never deadlock behind a full
+buffer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
@@ -56,7 +59,6 @@ import numpy as np
 from repro.runtime.channels import BoundedChannel, ChannelStats, ITEM_WATERMARK
 from repro.runtime.executor import Pipeline, PipelineResult, check_chain_shape
 from repro.runtime.operators import (
-    MapOperator,
     Operator,
     OperatorStats,
     Record,
@@ -220,7 +222,7 @@ _FORWARD, _HASH, _REBALANCE, _BROADCAST = range(4)
 class _OutGroup:
     """One producing instance's channels toward one downstream operator."""
 
-    __slots__ = ("dst_operator", "channels", "mode", "key_fn", "rr_next")
+    __slots__ = ("dst_operator", "channels", "mode", "key_fn", "rr_next", "direct")
 
     def __init__(
         self,
@@ -234,39 +236,33 @@ class _OutGroup:
         self.mode = mode
         self.key_fn = key_fn
         self.rr_next = 0
-
-    def has_credit(self) -> bool:
-        """Can one more record be emitted through this group?
-
-        Key-bound groups (forward/hash/broadcast) block when *any*
-        member channel is full — the record's target is fixed by its
-        key, so a full member head-of-line blocks the producer, exactly
-        like the fluid model's HASH throttling. Reroutable (rebalance)
-        groups only need one free member.
-        """
-        if self.mode == _REBALANCE:
-            return any(_has_credit(ch) for ch in self.channels)
-        return all(_has_credit(ch) for ch in self.channels)
+        # every record goes to every channel of the group: a broadcast,
+        # or a group of one channel
+        self.direct = mode == _BROADCAST or len(channels) == 1
 
     def pick(self, record: Record) -> BoundedChannel:
-        """The channel this record travels on (deterministic)."""
-        if len(self.channels) == 1:
-            return self.channels[0]
-        if self.mode == _HASH and self.key_fn is not None:
-            index = stable_hash(self.key_fn(record.value)) % len(self.channels)
-            return self.channels[index]
-        # rebalance (and hash edges without a key accessor): round-robin
-        # over channels with free credit
-        for _ in range(len(self.channels)):
-            channel = self.channels[self.rr_next]
-            self.rr_next = (self.rr_next + 1) % len(self.channels)
-            if _has_credit(channel):
+        """The channel this record travels on, in a group that is not
+        ``direct`` (deterministic)."""
+        channels = self.channels
+        if self.mode == _HASH:
+            return channels[stable_hash(self.key_fn(record.value)) % len(channels)]
+        # rebalance: round-robin over channels with free credit
+        for _ in range(len(channels)):
+            channel = channels[self.rr_next]
+            self.rr_next = (self.rr_next + 1) % len(channels)
+            if channel.capacity is None or channel.occupancy < channel.capacity:
                 return channel
-        return self.channels[self.rr_next]
+        return channels[self.rr_next]
 
 
-def _has_credit(channel: BoundedChannel) -> bool:
-    return channel.capacity is None or channel.occupancy < channel.capacity
+class _Relay(Operator):
+    """Identity relay for a logical operator the template has no stage
+    for (e.g. the pre-join maps of Q2): each record passes through as
+    the same object."""
+
+    def process(self, record: Record) -> List[Record]:
+        self._count_in()
+        return self._emit([record])
 
 
 class _Instance:
@@ -275,8 +271,9 @@ class _Instance:
     __slots__ = (
         "operator_name", "index", "uid", "operator", "is_source",
         "records", "pos", "released", "released_in_slice",
-        "in_channels", "in_sides", "in_watermarks",
-        "out_groups", "watermark", "last_broadcast_wm", "end_sent",
+        "in_channels", "in_queues", "in_sides", "in_watermarks",
+        "out_groups", "out_channels", "credit_all", "credit_any",
+        "watermark", "end_sent",
         "blocked_slices", "processed",
     )
 
@@ -294,14 +291,62 @@ class _Instance:
         self.in_sides: List[Optional[str]] = []
         self.in_watermarks: List[int] = []
         self.out_groups: List[_OutGroup] = []
+        # the last watermark this instance broadcast: for an operator the
+        # minimum over its inputs, for a source its latest release time
         self.watermark = _MIN_WATERMARK
-        self.last_broadcast_wm = _MIN_WATERMARK
         self.end_sent = False
         self.blocked_slices = 0
         self.processed = 0
 
-    def can_emit(self) -> bool:
-        return all(group.has_credit() for group in self.out_groups)
+    def wire(self) -> None:
+        """Derive the per-item views of the channels, once they exist.
+
+        ``in_queues`` are the input channels' queues, whose heads the
+        scheduler reads. ``out_channels`` lists every output channel in
+        group order, the order watermarks go out in. The credit rule:
+        key-bound groups (forward/hash/broadcast) block when *any*
+        member channel is full, since the record's target is fixed by
+        its key, so a full member head-of-line blocks the producer,
+        exactly like the fluid model's HASH throttling; a reroutable
+        (rebalance) group blocks only when every member is full.
+        ``credit_all`` holds the bounded channels of key-bound groups,
+        ``credit_any`` the member lists of rebalance groups that have
+        no unbounded member.
+        """
+        self.in_queues = [channel.items for channel in self.in_channels]
+        self.out_channels = [
+            channel for group in self.out_groups for channel in group.channels
+        ]
+        self.credit_all = [
+            channel
+            for group in self.out_groups if group.mode != _REBALANCE
+            for channel in group.channels if channel.capacity is not None
+        ]
+        self.credit_any = [
+            group.channels
+            for group in self.out_groups
+            if group.mode == _REBALANCE
+            and all(channel.capacity is not None for channel in group.channels)
+        ]
+
+    def out_of_credit(self) -> bool:
+        """True when one more emission cannot go out (see :meth:`wire`)."""
+        for channel in self.credit_all:
+            if channel.occupancy >= channel.capacity:
+                return True
+        for channels in self.credit_any:
+            for channel in channels:
+                if channel.occupancy < channel.capacity:
+                    break
+            else:
+                return True
+        return False
+
+    def count_blocked_puts(self) -> None:
+        """Charge a turn ended by backpressure to every full out-channel."""
+        for channel in self.out_channels:
+            if channel.capacity is not None and channel.occupancy >= channel.capacity:
+                channel.stats.blocked_puts += 1
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.records)
@@ -367,7 +412,8 @@ class ShardedExecutor:
         if cluster is not None and (physical is None or plan is None):
             raise ValueError("paced mode needs both a physical graph and a plan")
 
-        self._ticket = 0
+        # every enqueued item takes the next ticket
+        self._tickets = itertools.count(1)
         self._outputs: List[Record] = []
         self._instances: List[_Instance] = []
         self._sources: List[List[_Instance]] = []  # per template source
@@ -438,10 +484,7 @@ class ShardedExecutor:
                 elif op in stage_by_name:
                     inst.operator = stage_by_name[op].factory()
                 else:
-                    # identity relay for logical operators the record-
-                    # level template has no computation for (e.g. the
-                    # pre-join maps of Q2)
-                    inst.operator = MapOperator(op, lambda value: value)
+                    inst.operator = _Relay(op)
                 self._register(inst)
                 members.append(inst)
             instances_of[op] = members
@@ -499,6 +542,8 @@ class ShardedExecutor:
                     src_inst.out_groups.append(
                         _OutGroup(dst_op, members, mode, key_fn)
                     )
+        for inst in self._instances:
+            inst.wire()
 
     def _edge_key_fn(
         self, dst_op: str, src_side: Optional[int]
@@ -651,36 +696,27 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
     # Emission and watermark plumbing
     # ------------------------------------------------------------------
-    def _next_ticket(self) -> int:
-        self._ticket += 1
-        return self._ticket
-
     def _route(self, inst: _Instance, outputs: List[Record], force: bool) -> None:
+        """Enqueue each output on its group's channels, one ticket per
+        put: record by record, group by group, channel by channel."""
         if not inst.out_groups:
             self._outputs.extend(outputs)
             return
+        tickets = self._tickets
         for record in outputs:
             for group in inst.out_groups:
-                if group.mode == _BROADCAST:
-                    for channel in group.channels:
-                        self._put(channel, record, force)
-                else:
-                    self._put(group.pick(record), record, force)
-
-    def _put(self, channel: BoundedChannel, record: Record, force: bool) -> None:
-        ticket = self._next_ticket()
-        if force:
-            channel.force_put(ticket, record)
-        elif not channel.try_put(ticket, record):  # pragma: no cover - guarded
-            raise RuntimeError(f"emission into full channel {channel.name}")
+                targets = group.channels if group.direct else (group.pick(record),)
+                for channel in targets:
+                    if force:
+                        channel.force_put(next(tickets), record)
+                    elif not channel.try_put(next(tickets), record):  # pragma: no cover - guarded
+                        raise RuntimeError(f"emission into full channel {channel.name}")
 
     def _broadcast_watermark(self, inst: _Instance, watermark_ms: int) -> None:
-        if watermark_ms <= inst.last_broadcast_wm:
-            return
-        inst.last_broadcast_wm = watermark_ms
-        for group in inst.out_groups:
-            for channel in group.channels:
-                channel.put_watermark(self._next_ticket(), watermark_ms)
+        """Send a watermark the instance advanced to on every out-channel."""
+        tickets = self._tickets
+        for channel in inst.out_channels:
+            channel.put_watermark(next(tickets), watermark_ms)
 
     def _handle_watermark(
         self, inst: _Instance, channel_index: int, watermark_ms: int
@@ -691,11 +727,15 @@ class ShardedExecutor:
         if advanced <= inst.watermark:
             return
         inst.watermark = advanced
-        fired = inst.operator.on_watermark(advanced)
-        if fired:
-            # window flushes bypass channel credit: blocking a trigger
-            # on a full buffer could deadlock the event-time clock
-            self._route(inst, fired, force=True)
+        # an operator that cannot fire at this watermark is not called
+        # (Operator.can_fire): the call would emit and change nothing
+        if inst.operator.can_fire(advanced):
+            fired = inst.operator.on_watermark(advanced)
+            if fired:
+                # window flushes bypass channel credit: blocking a
+                # trigger on a full buffer could deadlock the event-time
+                # clock
+                self._route(inst, fired, force=True)
         self._broadcast_watermark(inst, advanced)
 
     # ------------------------------------------------------------------
@@ -706,44 +746,53 @@ class ShardedExecutor:
     ) -> Tuple[int, bool, bool]:
         """Process up to ``budget`` records; returns (used, progress, blocked).
 
-        Watermark items are free: they consume neither budget nor the
-        fairness chunk, so event time keeps advancing even through
-        instances whose record budget is exhausted this slice. FIFO
-        still holds — a watermark queued behind records waits for them.
+        Each step takes the input item with the lowest ticket (with one
+        input, simply its head). Watermark items are free: they consume
+        neither budget nor the fairness chunk, so event time keeps
+        advancing even through instances whose record budget is
+        exhausted this slice. FIFO still holds — a watermark queued
+        behind records waits for them.
         """
+        limit = min(budget, _TURN_CHUNK)
         used = 0
         progressed = False
+        operator = inst.operator
+        channels = inst.in_channels
+        sides = inst.in_sides
+        queues = inst.in_queues
+        single = len(queues) == 1
+        bounded = bool(inst.credit_all or inst.credit_any)
         while True:
-            best = -1
-            best_ticket = None
-            for idx, channel in enumerate(inst.in_channels):
-                ticket = channel.head_ticket()
-                if ticket is not None and (
-                    best_ticket is None or ticket < best_ticket
-                ):
-                    best, best_ticket = idx, ticket
-            if best < 0:
-                break
-            channel = inst.in_channels[best]
-            if channel.head_kind() == ITEM_WATERMARK:
-                _, _, watermark_ms = channel.get()
-                self._handle_watermark(inst, best, watermark_ms)
+            if single:
+                if not queues[0]:
+                    break
+                best = 0
+            else:
+                best = -1
+                best_ticket = 0
+                for index, queue in enumerate(queues):
+                    if queue:
+                        ticket = queue[0][0]
+                        if best < 0 or ticket < best_ticket:
+                            best, best_ticket = index, ticket
+                if best < 0:
+                    break
+            channel = channels[best]
+            if queues[best][0][1] == ITEM_WATERMARK:
+                self._handle_watermark(inst, best, channel.get()[2])
                 progressed = True
                 continue
-            if used >= budget or used >= _TURN_CHUNK:
+            if used >= limit:
                 break
-            if not inst.can_emit():
-                for group in inst.out_groups:
-                    for out_channel in group.channels:
-                        if not _has_credit(out_channel):
-                            out_channel.stats.blocked_puts += 1
+            if bounded and inst.out_of_credit():
+                inst.count_blocked_puts()
                 return used, progressed, True
-            _, _, record = channel.get()
-            side = inst.in_sides[best]
+            record = channel.get()[2]
+            side = sides[best]
             if side is not None:
-                outputs = inst.operator.process_side(side, record)
+                outputs = operator.process_side(side, record)
             else:
-                outputs = inst.operator.process(record)
+                outputs = operator.process(record)
             if outputs:
                 self._route(inst, outputs, force=False)
             inst.processed += 1
@@ -755,28 +804,31 @@ class ShardedExecutor:
         self, inst: _Instance, budget: float, now_ms: float
     ) -> Tuple[int, bool, bool]:
         """Release due records; returns (used, progress, blocked)."""
+        limit = min(budget, _TURN_CHUNK)
         used = 0
         progressed = False
-        while used < budget and used < _TURN_CHUNK and not inst.exhausted():
-            record = inst.records[inst.pos]
+        records = inst.records
+        while used < limit and inst.pos < len(records):
+            record = records[inst.pos]
             if record.timestamp_ms > now_ms:
                 break
-            if not inst.can_emit():
-                for group in inst.out_groups:
-                    for out_channel in group.channels:
-                        if not _has_credit(out_channel):
-                            out_channel.stats.blocked_puts += 1
+            if inst.out_of_credit():
+                inst.count_blocked_puts()
                 return used, progressed, True
             inst.pos += 1
             inst.released += 1
             inst.released_in_slice += 1
             self._route(inst, [record], force=False)
-            self._broadcast_watermark(inst, record.timestamp_ms)
+            if record.timestamp_ms > inst.watermark:
+                inst.watermark = record.timestamp_ms
+                self._broadcast_watermark(inst, inst.watermark)
             used += 1
             progressed = True
         if inst.exhausted() and not inst.end_sent:
             inst.end_sent = True
-            self._broadcast_watermark(inst, _END_OF_TIME)
+            if _END_OF_TIME > inst.watermark:
+                inst.watermark = _END_OF_TIME
+                self._broadcast_watermark(inst, _END_OF_TIME)
             progressed = True
         return used, progressed, False
 
@@ -961,9 +1013,11 @@ class ShardedExecutor:
         self, now_ms: float, budgets: Optional[np.ndarray]
     ) -> bool:
         """One slice of round-robin turns; True if anything progressed."""
+        # Python floats: the same IEEE arithmetic as the float64
+        # budgets, without a numpy scalar per turn
         remaining = (
-            budgets.copy() if budgets is not None
-            else np.full(len(self._instances), math.inf)
+            budgets.tolist() if budgets is not None
+            else [math.inf] * len(self._instances)
         )
         blocked_this_slice = [False] * len(self._instances)
         slice_progress = False

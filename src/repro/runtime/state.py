@@ -27,7 +27,24 @@ def default_sizer(value: Any) -> int:
     approximates what a serializer would write without requiring one.
     A :class:`SizedCounter` reports the size it keeps itself, which
     equals that walk.
+
+    Exact types are tested first (``type(v) is int`` and so on); any
+    other value, a subclass such as ``bool`` included, goes down the
+    ``isinstance`` chain, so each value sizes as the chain alone would
+    size it.
     """
+    kind = type(value)
+    if kind is SizedCounter:
+        return value.state_bytes
+    if kind is int or kind is float:
+        return 8
+    if kind is list or kind is tuple:
+        total = 8
+        for element in value:
+            total += default_sizer(element)
+        return total
+    if kind is str:
+        return len(value.encode("utf-8"))
     if value is None:
         return 1
     if isinstance(value, (int, float)):

@@ -10,20 +10,36 @@ merge on overlap, handled by :class:`SessionMerger`.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Window:
-    """A half-open event-time interval ``[start_ms, end_ms)``."""
+class Window(tuple):
+    """A half-open event-time interval ``[start_ms, end_ms)``.
 
-    start_ms: int
-    end_ms: int
+    An immutable ``(start_ms, end_ms)`` pair. Windows key every state
+    slot, so hashing, equality and ordering are the tuple's own, done in
+    C: they order by start, then end, and hash like the plain pair.
+    A window therefore also equals the plain tuple ``(start_ms,
+    end_ms)``; no container of the runtime holds both kinds.
+    """
 
-    def __post_init__(self) -> None:
-        if self.end_ms <= self.start_ms:
+    __slots__ = ()
+
+    def __new__(cls, start_ms: int, end_ms: int) -> "Window":
+        if end_ms <= start_ms:
             raise ValueError("window end must be after start")
+        return tuple.__new__(cls, (start_ms, end_ms))
+
+    start_ms = property(itemgetter(0), doc="Inclusive start (ms).")
+    end_ms = property(itemgetter(1), doc="Exclusive end (ms).")
+
+    def __getnewargs__(self) -> Tuple[int, int]:
+        # copy, deepcopy and pickle rebuild a window through __new__
+        return (self[0], self[1])
+
+    def __repr__(self) -> str:
+        return f"Window(start_ms={self[0]!r}, end_ms={self[1]!r})"
 
     def contains(self, timestamp_ms: int) -> bool:
         return self.start_ms <= timestamp_ms < self.end_ms
@@ -123,6 +139,16 @@ class SessionMerger:
 
     def sessions(self, key: object) -> List[Window]:
         return list(self._sessions.get(key, []))
+
+    def may_expire(self, watermark_ms: int) -> bool:
+        """False when :meth:`expire_due` would close nothing.
+
+        Reads the top of the end index only. A stale top (a session
+        merged away or already expired) can make this True while
+        nothing closes, never the reverse.
+        """
+        ends = self._ends
+        return bool(ends) and ends[0][0] < watermark_ms
 
     def expire_before(self, key: object, watermark_ms: int) -> List[Window]:
         """Remove and return this key's sessions closed by the watermark.

@@ -6,6 +6,7 @@ heap against a faithful copy of the all-keys session trigger, and the
 self-sized counter against the recursive sizer.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -248,6 +249,91 @@ class TestSizedCounter:
             acc |= {"c": 1}
         assert acc == {"a": 1}
         assert acc.state_bytes == default_sizer({"a": 1})
+
+
+def _chain_sizer(value):
+    """The sizer before its exact-type tests: the isinstance chain alone.
+
+    A faithful copy, kept as the reference the exact-type tests must
+    match on every value.
+    """
+    if value is None:
+        return 1
+    if isinstance(value, (int, float)):
+        return 8
+    if isinstance(value, str):
+        return len(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return len(value)
+    if isinstance(value, (list, tuple, set)):
+        return 8 + sum(_chain_sizer(v) for v in value)
+    if isinstance(value, dict):
+        if isinstance(value, SizedCounter):
+            return value.state_bytes
+        return 8 + sum(_chain_sizer(k) + _chain_sizer(v) for k, v in value.items())
+    return max(8, sys.getsizeof(value) // 2)
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+def _counter(keys):
+    acc = SizedCounter()
+    for key in keys:
+        acc.increment(key)
+    return acc
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.binary(max_size=5),
+    st.integers().map(_Int),
+    st.text(max_size=5).map(_Str),
+    st.builds(OpaqueKey),
+    st.lists(st.integers(), max_size=4).map(_counter),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4).map(_List),
+        st.lists(inner, max_size=4).map(_Tuple),
+        st.frozensets(st.integers(), max_size=4).map(set),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestSizerExactTypes:
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    def test_sizes_every_value_as_the_isinstance_chain(self, value):
+        assert default_sizer(value) == _chain_sizer(value)
+
+    def test_subclasses_size_as_before(self):
+        assert default_sizer(True) == 8
+        assert default_sizer(_Str("abc")) == 3
+        assert default_sizer(_List([1, 2])) == 24
+        assert default_sizer(_counter(["a", "a", 7])) == 8 + (1 + 8) + (8 + 8)
 
 
 class TestSizeAtWrite:

@@ -1,5 +1,8 @@
 """Unit tests for window assigners and session merging."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.runtime.windows import SessionMerger, SlidingWindows, TumblingWindows, Window
@@ -26,6 +29,35 @@ class TestWindow:
 
     def test_adjacent_windows_do_not_intersect(self):
         assert not Window(0, 10).intersects(Window(10, 20))
+
+    def test_fields_repr_and_order(self):
+        w = Window(0, 10)
+        assert (w.start_ms, w.end_ms) == (0, 10)
+        assert repr(w) == "Window(start_ms=0, end_ms=10)"
+        assert sorted([Window(5, 6), Window(0, 10), Window(0, 5)]) == [
+            Window(0, 5), Window(0, 10), Window(5, 6)
+        ]
+        with pytest.raises(AttributeError):
+            w.start_ms = 3
+
+    def test_hashes_like_the_pair_it_holds(self):
+        # state slots keyed by windows hash as they did when Window was
+        # a frozen dataclass, so sets of slots iterate in the same order
+        assert hash(Window(0, 10)) == hash((0, 10))
+        assert len({Window(0, 10), Window(0, 10), Window(0, 11)}) == 2
+
+    @pytest.mark.parametrize(
+        "roundtrip",
+        [copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles(self, roundtrip):
+        w = Window(3, 8)
+        back = roundtrip(w)
+        assert back == w and type(back) is Window
+        assert (back.start_ms, back.end_ms) == (3, 8)
+        slots = {("k", w): [1, 2]}
+        assert roundtrip(slots) == slots
 
 
 class TestTumbling:
