@@ -77,6 +77,21 @@ def _positive(kind: Callable[[str], float]) -> Callable[[str], float]:
     return convert
 
 
+def _non_negative(text: str) -> float:
+    """A float type that accepts only finite values at or above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and non-negative, got {text}"
+        )
+    return value
+
+
 def _query_name(text: str) -> str:
     try:
         query_by_name(text)
@@ -547,12 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=_runtime_queries, default="q1,q2,q6",
                    help="comma-separated subset of q1,q2,q6")
     p.add_argument("--duration", type=_positive(float), default=12.0)
-    p.add_argument("--warmup", type=float, default=2.0)
+    p.add_argument("--warmup", type=_non_negative, default=2.0,
+                   help="seconds left out of both averages; below --duration")
     p.add_argument("--rate-scale", type=_positive(float), default=1.0,
                    help="multiply the per-query target rates")
     p.add_argument("--seed", type=int, default=7,
                    help="Nexmark generator seed")
-    p.add_argument("--max-throughput-error", type=float, default=0.10,
+    p.add_argument("--max-throughput-error", type=_non_negative, default=0.10,
                    metavar="FRAC",
                    help="exit 1 if any query's relative throughput error "
                         "exceeds this fraction")
@@ -571,6 +587,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             ClusterHealth(_cluster(args)).check(args.chaos)
         except KeyError as exc:
             parser.error(f"argument --chaos: {exc.args[0]}")
+    if args.command == "validate-runtime" and args.warmup >= args.duration:
+        parser.error(
+            f"argument --warmup: must be below --duration ({args.duration:g}), "
+            f"got {args.warmup:g}"
+        )
     return args.fn(args)
 
 

@@ -167,16 +167,22 @@ def cross_validate(
     relative for throughput, absolute for the backpressure *share* (a
     fraction of target already).
     """
+    unknown = [query for query in queries if query not in SCENARIOS]
+    if unknown:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ValueError(f"unknown query {unknown[0]!r}; known: {known}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not (math.isfinite(warmup_s) and 0 <= warmup_s < duration_s):
+        raise ValueError(
+            f"warmup_s must be finite, non-negative and below duration_s "
+            f"({duration_s}), got {warmup_s}"
+        )
     cluster = cluster or default_cluster()
     config = SimulationConfig(dt=1.0, seed=seed, noise_std=0.0)
     rows: List[ValidationRow] = []
     for query in queries:
-        try:
-            scenario_fn = SCENARIOS[query]
-        except KeyError:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ValueError(f"unknown query {query!r}; known: {known}") from None
-        scenario = scenario_fn(duration_s, rate_scale, seed)
+        scenario = SCENARIOS[query](duration_s, rate_scale, seed)
         physical = PhysicalGraph.expand(scenario.graph)
         plan = FlinkEvenlyStrategy(seed=0).place_validated(physical, cluster)
 

@@ -63,6 +63,13 @@ class TestParser:
             ["validate-runtime", "--duration", "0"],
             ["validate-runtime", "--queries", "q9"],
             ["validate-runtime", "--rate-scale", "0"],
+            ["validate-runtime", "--max-throughput-error", "nan"],
+            ["validate-runtime", "--max-throughput-error", "-0.1"],
+            ["validate-runtime", "--max-throughput-error", "inf"],
+            ["validate-runtime", "--warmup", "-5"],
+            ["validate-runtime", "--warmup", "nan"],
+            ["validate-runtime", "--warmup", "50", "--duration", "4"],
+            ["validate-runtime", "--warmup", "4", "--duration", "4"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -34,6 +34,23 @@ class TestScenarios:
         with pytest.raises(ValueError, match="unknown query"):
             cross_validate(queries=("q9",), duration_s=2.0)
 
+    @pytest.mark.parametrize(
+        "duration_s, warmup_s, name",
+        [
+            (4.0, -5.0, "warmup_s"),
+            (4.0, float("nan"), "warmup_s"),
+            (4.0, 50.0, "warmup_s"),
+            (4.0, 4.0, "warmup_s"),
+            (0.0, 0.0, "duration_s"),
+            (float("inf"), 2.0, "duration_s"),
+        ],
+    )
+    def test_bad_duration_or_warmup_rejected(self, duration_s, warmup_s, name):
+        # a warmup at or past the end used to average each engine's
+        # last sample instead of failing
+        with pytest.raises(ValueError, match=name):
+            cross_validate(queries=("q1",), duration_s=duration_s, warmup_s=warmup_s)
+
 
 class TestCrossValidation:
     @pytest.fixture(scope="class")
