@@ -7,11 +7,14 @@ results identical to the unoptimised path:
 a. **Incremental DFS bookkeeping** — the optimised sequential
    :class:`~repro.core.search.CapsSearch` against the frozen
    pre-optimisation copy in :mod:`repro.core.search_reference`, on the
-   Table 2 pruning workload (Q3-inf on 8 r5d.xlarge workers).
+   Table 2 pruning workload (Q3-inf on 8 r5d.xlarge workers). Each
+   alpha times both searches ``SEARCH_REPEATS`` times, alternating,
+   and records their medians with their min-max ranges.
 b. **Partitioned search** — the sequential search vs a process pool
    (``jobs`` > 1) on a full-pareto search, with bit-exact front
-   equality. Process-pool speedup is only meaningful on multicore
-   hosts; below 4 cores the criterion is recorded as not applicable.
+   equality, timed the same way. Process-pool speedup is only
+   meaningful on multicore hosts; below 4 cores the criterion is
+   recorded as not applicable.
 c. **Plan-evaluation cache** — a Figure 7-style repeated-run sweep
    (deterministic CAPS placement simulated ``runs`` times) cold
    (``DEFAULT_CACHE`` cleared before every run) vs warm (cleared once,
@@ -66,6 +69,8 @@ FULL_QUERY = dict(source=2, decode=5, inference=12, sink=5)
 SMOKE_QUERY = dict(source=2, decode=4, inference=8, sink=4)
 PRUNING_ALPHAS = [0.5, 0.3, 0.2]
 SOURCE_RATE = 3000.0
+#: Timed runs per side in sections (a) and (b), the two alternating.
+SEARCH_REPEATS = 5
 #: Timed sweeps per side in section (c), cold and warm alternating.
 CACHE_REPEATS = 5
 
@@ -129,38 +134,78 @@ def _timed(fn):
     return out["s"], out["value"]
 
 
+def _alternating(candidates: dict, check) -> tuple:
+    """Time each candidate ``SEARCH_REPEATS`` times, in turn.
+
+    ``candidates`` maps a name to a zero-argument callable; every round
+    runs each once, in order, and ``check(results)`` compares a round's
+    results. Returns each name's seconds (one per round) and the last
+    round's results.
+    """
+    times = {name: [] for name in candidates}
+    for _ in range(SEARCH_REPEATS):
+        results = {}
+        for name, fn in candidates.items():
+            seconds, results[name] = _timed(fn)
+            times[name].append(seconds)
+        check(results)
+    return times, results
+
+
+def _median_and_range(seconds: list) -> tuple:
+    return (
+        round(statistics.median(seconds), 4),
+        [round(min(seconds), 4), round(max(seconds), 4)],
+    )
+
+
 def bench_incremental(smoke: bool) -> dict:
-    """(a) optimised vs reference sequential search, identical counters."""
+    """(a) optimised vs reference sequential search, identical counters,
+    medians of ``SEARCH_REPEATS`` alternating runs each."""
     model = table2_model(smoke)
     alphas = PRUNING_ALPHAS[:1] if smoke else PRUNING_ALPHAS
     rows = []
     for alpha in alphas:
-        ref_s, ref = _timed(
-            lambda: ReferenceCapsSearch(
-                model, thresholds={"cpu": alpha}, reorder=True, collect_pareto=False
-            ).run()
+
+        def check(results, alpha=alpha):
+            ref, opt = results["reference"], results["optimized"]
+            assert _stats_key(ref.stats) == _stats_key(opt.stats), (
+                f"optimised search diverged from reference at alpha={alpha}"
+            )
+
+        times, last = _alternating(
+            {
+                "reference": lambda: ReferenceCapsSearch(
+                    model, thresholds={"cpu": alpha}, reorder=True,
+                    collect_pareto=False,
+                ).run(),
+                "optimized": lambda: CapsSearch(
+                    model, thresholds={"cpu": alpha}, reorder=True,
+                    collect_pareto=False,
+                ).run(),
+            },
+            check,
         )
-        opt_s, opt = _timed(
-            lambda: CapsSearch(
-                model, thresholds={"cpu": alpha}, reorder=True, collect_pareto=False
-            ).run()
-        )
-        assert _stats_key(ref.stats) == _stats_key(opt.stats), (
-            f"optimised search diverged from reference at alpha={alpha}"
-        )
+        opt = last["optimized"]
+        ref_s, ref_range = _median_and_range(times["reference"])
+        opt_s, opt_range = _median_and_range(times["optimized"])
         rows.append(
             {
                 "alpha_cpu": alpha,
                 "nodes": opt.stats.nodes,
                 "plans": opt.stats.plans_found,
-                "reference_s": round(ref_s, 4),
-                "optimized_s": round(opt_s, 4),
+                "reference_s": ref_s,
+                "reference_range_s": ref_range,
+                "optimized_s": opt_s,
+                "optimized_range_s": opt_range,
                 "speedup": round(ref_s / opt_s, 3) if opt_s > 0 else None,
             }
         )
         print(
-            f"  alpha={alpha}: reference {ref_s:.3f}s, optimized {opt_s:.3f}s "
-            f"({ref_s / opt_s:.2f}x), {opt.stats.nodes} nodes, identical stats"
+            f"  alpha={alpha}, median of {SEARCH_REPEATS}: reference {ref_s:.3f}s "
+            f"({ref_range[0]:.3f}-{ref_range[1]:.3f}), optimized {opt_s:.3f}s "
+            f"({opt_range[0]:.3f}-{opt_range[1]:.3f}), {ref_s / opt_s:.2f}x, "
+            f"{opt.stats.nodes} nodes, identical stats"
         )
     total_ref = sum(r["reference_s"] for r in rows)
     total_opt = sum(r["optimized_s"] for r in rows)
@@ -168,6 +213,7 @@ def bench_incremental(smoke: bool) -> dict:
     print(f"  overall sequential speedup: {speedup:.2f}x (target >= 1.5x)")
     return {
         "workload": "table2_pruning" + ("_smoke" if smoke else ""),
+        "repeats": SEARCH_REPEATS,
         "alphas": rows,
         "speedup": round(speedup, 3),
         "meets_1_5x": speedup >= 1.5,
@@ -190,19 +236,31 @@ def bench_backends(smoke: bool) -> dict:
         return CapsSearch(model, thresholds={"cpu": 0.5}, reorder=True)
 
     jobs = max(2, os.cpu_count() or 1)
-    seq_s, seq = _timed(lambda: make().run())
-    proc_s, proc = _timed(lambda: ProcessCapsSearch(make(), jobs=jobs).run())
 
-    assert _stats_key(proc.stats) == _stats_key(seq.stats)
-    assert _front_key(proc) == _front_key(seq), (
-        "process-pool pareto front differs from sequential"
+    def check(results):
+        seq, proc = results["sequential"], results["process"]
+        assert _stats_key(proc.stats) == _stats_key(seq.stats)
+        assert _front_key(proc) == _front_key(seq), (
+            "process-pool pareto front differs from sequential"
+        )
+
+    times, _ = _alternating(
+        {
+            "sequential": lambda: make().run(),
+            "process": lambda: ProcessCapsSearch(make(), jobs=jobs).run(),
+        },
+        check,
     )
+    seq_s, seq_range = _median_and_range(times["sequential"])
+    proc_s, proc_range = _median_and_range(times["process"])
     cores = os.cpu_count() or 1
     process_speedup = seq_s / proc_s if proc_s > 0 else None
     applicable = cores >= 4
     print(
-        f"  sequential {seq_s:.3f}s, process({jobs}) {proc_s:.3f}s "
-        f"on {cores} core(s); fronts bit-identical"
+        f"  median of {SEARCH_REPEATS}: sequential {seq_s:.3f}s "
+        f"({seq_range[0]:.3f}-{seq_range[1]:.3f}), process({jobs}) {proc_s:.3f}s "
+        f"({proc_range[0]:.3f}-{proc_range[1]:.3f}) on {cores} core(s); "
+        "fronts bit-identical"
     )
     if not applicable:
         print(
@@ -213,8 +271,11 @@ def bench_backends(smoke: bool) -> dict:
         "workload": f"q3_inf full pareto, {sum(shape.values())} tasks, 6 workers",
         "jobs": jobs,
         "cpu_count": cores,
-        "sequential_s": round(seq_s, 4),
-        "process_s": round(proc_s, 4),
+        "repeats": SEARCH_REPEATS,
+        "sequential_s": seq_s,
+        "sequential_range_s": seq_range,
+        "process_s": proc_s,
+        "process_range_s": proc_range,
         "process_speedup": round(process_speedup, 3),
         "meets_2x_on_4_cores": (process_speedup >= 2.0) if applicable else "n/a",
         "results_identical": True,

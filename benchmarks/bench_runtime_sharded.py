@@ -6,10 +6,11 @@ Not a paper table — these quantify the record-level execution layer:
   degenerate (no physical graph, so ``Pipeline.run``), semantic, and
   paced modes (the price of real records vs the fluid model's rate
   arithmetic), written to ``BENCH_perf.json``
-  section ``runtime_sharded`` as ``<mode>_records_per_s`` with the
-  commit that produced it and, under ``previous``, the last result of
-  another commit (run it at a parent and then at its change for a
-  before/after pair);
+  section ``runtime_sharded`` as ``<mode>_records_per_s``, the median
+  of ``MODE_REPEATS`` rounds that run the three modes in turn, with its
+  min-max range, the commit that produced it and, under ``previous``,
+  the last result of another commit (run it at a parent and then at
+  its change for a before/after pair);
 - the fluid-vs-runtime cross-validation harness end to end, reporting
   the measured prediction errors alongside the timing, written to
   section ``runtime_validation`` as the per-query throughput error,
@@ -21,7 +22,9 @@ full validation, so both sections record ``"smoke": false``.
     PYTHONPATH=src python -m pytest benchmarks/bench_runtime_sharded.py -q -s
 """
 
+import statistics
 import sys
+import time
 
 sys.path.insert(0, "benchmarks")
 from _helpers import (
@@ -39,6 +42,9 @@ from repro.runtime.parallel import ShardedExecutor
 from repro.runtime.queries import hot_items_template
 from repro.workloads.nexmark import NexmarkGenerator
 from repro.workloads.queries import q1_sliding
+
+#: Timed rounds per mode; each round runs the three modes in turn.
+MODE_REPEATS = 5
 
 
 def _bids(count=20_000):
@@ -71,28 +77,36 @@ def test_sharded_executor_modes(benchmark):
             source_rates={"source": 2000.0},
         ).run(duration_s=10.0, warmup_s=2.0)
 
-    import time
-
     modes = {"degenerate": degenerate, "semantic": semantic, "paced": paced}
 
     def study():
-        rows = []
-        rates = {}
-        for mode, fn in modes.items():
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
-            rate = result.records_ingested / elapsed
-            rates[mode] = round(rate)
-            rows.append(
-                [mode, result.records_ingested, round(elapsed, 3), round(rate)]
-            )
+        rates = {mode: [] for mode in modes}
+        records = {}
+        for _ in range(MODE_REPEATS):
+            for mode, fn in modes.items():
+                start = time.perf_counter()
+                result = fn()
+                elapsed = time.perf_counter() - start
+                records[mode] = result.records_ingested
+                rates[mode].append(result.records_ingested / elapsed)
+        rows = [
+            [
+                mode,
+                records[mode],
+                round(statistics.median(rates[mode])),
+                f"{min(rates[mode]):.0f}-{max(rates[mode]):.0f}",
+            ]
+            for mode in modes
+        ]
         print()
         print(
             format_table(
-                ["mode", "records", "wall s", "records/s"],
+                ["mode", "records", "median records/s", "range"],
                 rows,
-                title="sharded executor throughput (Q1, 20k-event stream)",
+                title=(
+                    "sharded executor throughput (Q1, 20k-event stream, "
+                    f"{MODE_REPEATS} rounds)"
+                ),
             )
         )
         return rates
@@ -105,10 +119,18 @@ def test_sharded_executor_modes(benchmark):
             "commit": current_commit(),
             "smoke": False,
             "workload": "Q1 hot items over the bids of a 20k-event stream",
-            **{f"{mode}_records_per_s": rate for mode, rate in rates.items()},
+            "repeats": MODE_REPEATS,
+            **{
+                f"{mode}_records_per_s": round(statistics.median(samples))
+                for mode, samples in rates.items()
+            },
+            **{
+                f"{mode}_records_per_s_range": [round(min(samples)), round(max(samples))]
+                for mode, samples in rates.items()
+            },
         },
     )
-    assert all(rate > 0 for rate in rates.values())
+    assert all(min(samples) > 0 for samples in rates.values())
 
 
 def test_cross_validation_harness(benchmark):
