@@ -8,8 +8,8 @@ a. **Incremental DFS bookkeeping** — the optimised sequential
    :class:`~repro.core.search.CapsSearch` against the frozen
    pre-optimisation copy in :mod:`repro.core.search_reference`, on the
    Table 2 pruning workload (Q3-inf on 8 r5d.xlarge workers). Each
-   alpha times both searches ``SEARCH_REPEATS`` times, alternating,
-   and records their medians with their min-max ranges.
+   alpha times both searches ``REPEATS`` times, alternating, and
+   records their medians with their min-max ranges.
 b. **Partitioned search** — the sequential search vs a process pool
    (``jobs`` > 1) on a full-pareto search, with bit-exact front
    equality, timed the same way. Process-pool speedup is only
@@ -23,8 +23,8 @@ c. **Plan-evaluation cache** — a Figure 7-style repeated-run sweep
    the cache-off switch of earlier commits skipped. The placement memo
    is cleared before each sweep, so both pay for one CAPS search and
    the section times the plan cache alone. Each side is timed
-   ``CACHE_REPEATS`` times, cold and warm alternating, and recorded as
-   its median with its min-max range.
+   ``REPEATS`` times, cold and warm alternating, and recorded as its
+   median with its min-max range.
 
 Results are printed and merged into ``BENCH_perf.json`` in the working
 directory as three sections, each labelled with the commit and the
@@ -69,10 +69,8 @@ FULL_QUERY = dict(source=2, decode=5, inference=12, sink=5)
 SMOKE_QUERY = dict(source=2, decode=4, inference=8, sink=4)
 PRUNING_ALPHAS = [0.5, 0.3, 0.2]
 SOURCE_RATE = 3000.0
-#: Timed runs per side in sections (a) and (b), the two alternating.
-SEARCH_REPEATS = 5
-#: Timed sweeps per side in section (c), cold and warm alternating.
-CACHE_REPEATS = 5
+#: Timed runs per side in every section, the sides alternating.
+REPEATS = 5
 
 
 def table2_model(smoke: bool) -> CostModel:
@@ -135,7 +133,7 @@ def _timed(fn):
 
 
 def _alternating(candidates: dict, check) -> tuple:
-    """Time each candidate ``SEARCH_REPEATS`` times, in turn.
+    """Time each candidate ``REPEATS`` times, in turn.
 
     ``candidates`` maps a name to a zero-argument callable; every round
     runs each once, in order, and ``check(results)`` compares a round's
@@ -143,7 +141,7 @@ def _alternating(candidates: dict, check) -> tuple:
     round's results.
     """
     times = {name: [] for name in candidates}
-    for _ in range(SEARCH_REPEATS):
+    for _ in range(REPEATS):
         results = {}
         for name, fn in candidates.items():
             seconds, results[name] = _timed(fn)
@@ -161,7 +159,7 @@ def _median_and_range(seconds: list) -> tuple:
 
 def bench_incremental(smoke: bool) -> dict:
     """(a) optimised vs reference sequential search, identical counters,
-    medians of ``SEARCH_REPEATS`` alternating runs each."""
+    medians of ``REPEATS`` alternating runs each."""
     model = table2_model(smoke)
     alphas = PRUNING_ALPHAS[:1] if smoke else PRUNING_ALPHAS
     rows = []
@@ -202,7 +200,7 @@ def bench_incremental(smoke: bool) -> dict:
             }
         )
         print(
-            f"  alpha={alpha}, median of {SEARCH_REPEATS}: reference {ref_s:.3f}s "
+            f"  alpha={alpha}, median of {REPEATS}: reference {ref_s:.3f}s "
             f"({ref_range[0]:.3f}-{ref_range[1]:.3f}), optimized {opt_s:.3f}s "
             f"({opt_range[0]:.3f}-{opt_range[1]:.3f}), {ref_s / opt_s:.2f}x, "
             f"{opt.stats.nodes} nodes, identical stats"
@@ -213,7 +211,7 @@ def bench_incremental(smoke: bool) -> dict:
     print(f"  overall sequential speedup: {speedup:.2f}x (target >= 1.5x)")
     return {
         "workload": "table2_pruning" + ("_smoke" if smoke else ""),
-        "repeats": SEARCH_REPEATS,
+        "repeats": REPEATS,
         "alphas": rows,
         "speedup": round(speedup, 3),
         "meets_1_5x": speedup >= 1.5,
@@ -257,7 +255,7 @@ def bench_backends(smoke: bool) -> dict:
     process_speedup = seq_s / proc_s if proc_s > 0 else None
     applicable = cores >= 4
     print(
-        f"  median of {SEARCH_REPEATS}: sequential {seq_s:.3f}s "
+        f"  median of {REPEATS}: sequential {seq_s:.3f}s "
         f"({seq_range[0]:.3f}-{seq_range[1]:.3f}), process({jobs}) {proc_s:.3f}s "
         f"({proc_range[0]:.3f}-{proc_range[1]:.3f}) on {cores} core(s); "
         "fronts bit-identical"
@@ -271,7 +269,7 @@ def bench_backends(smoke: bool) -> dict:
         "workload": f"q3_inf full pareto, {sum(shape.values())} tasks, 6 workers",
         "jobs": jobs,
         "cpu_count": cores,
-        "repeats": SEARCH_REPEATS,
+        "repeats": REPEATS,
         "sequential_s": seq_s,
         "sequential_range_s": seq_range,
         "process_s": proc_s,
@@ -284,7 +282,7 @@ def bench_backends(smoke: bool) -> dict:
 
 def bench_plan_cache(smoke: bool) -> dict:
     """(c) Fig. 7-style repeated-run sweep, cold vs warm, medians of
-    ``CACHE_REPEATS`` alternating sweeps each."""
+    ``REPEATS`` alternating sweeps each."""
     runs = 4 if smoke else 10
     duration = 120.0 if smoke else 300.0
     warmup = 50.0 if smoke else 120.0
@@ -314,36 +312,40 @@ def bench_plan_cache(smoke: bool) -> dict:
             )
         return out
 
-    times = {True: [], False: []}
-    expected = None
-    for _ in range(CACHE_REPEATS):
-        for cold in (True, False):
-            seconds, result = _timed(lambda: sweep(cold))
-            times[cold].append(seconds)
+    expected = []
+
+    def check(results):
+        # every sweep, cold or warm, gives the first sweep's summaries
+        for result in results.values():
             summaries = [r.only for r in result]
-            if expected is None:
-                expected = summaries
+            if not expected:
+                expected.extend(summaries)
             assert summaries == expected, (
                 "warm-cache summaries differ from fresh simulations"
             )
+
+    times, _ = _alternating(
+        {"cold": lambda: sweep(True), "warm": lambda: sweep(False)}, check
+    )
     # the last sweep was warm
     hits, misses = DEFAULT_CACHE.hits, DEFAULT_CACHE.misses
-    cold_s, warm_s = statistics.median(times[True]), statistics.median(times[False])
+    cold_s, cold_range = _median_and_range(times["cold"])
+    warm_s, warm_range = _median_and_range(times["warm"])
     speedup = cold_s / warm_s if warm_s > 0 else None
     print(
-        f"  {runs}-run sweep, median of {CACHE_REPEATS}: cold {cold_s:.3f}s "
-        f"({min(times[True]):.3f}-{max(times[True]):.3f}), warm {warm_s:.3f}s "
-        f"({min(times[False]):.3f}-{max(times[False]):.3f}), {speedup:.2f}x, "
+        f"  {runs}-run sweep, median of {REPEATS}: cold {cold_s:.3f}s "
+        f"({cold_range[0]:.3f}-{cold_range[1]:.3f}), warm {warm_s:.3f}s "
+        f"({warm_range[0]:.3f}-{warm_range[1]:.3f}), {speedup:.2f}x, "
         f"{hits} hits/{misses} misses; summaries byte-identical"
     )
     return {
         "workload": f"{preset.name} x{runs} runs, {duration:.0f}s simulated",
         "runs": runs,
-        "repeats": CACHE_REPEATS,
-        "cold_s": round(cold_s, 4),
-        "cold_range_s": [round(min(times[True]), 4), round(max(times[True]), 4)],
-        "warm_s": round(warm_s, 4),
-        "warm_range_s": [round(min(times[False]), 4), round(max(times[False]), 4)],
+        "repeats": REPEATS,
+        "cold_s": cold_s,
+        "cold_range_s": cold_range,
+        "warm_s": warm_s,
+        "warm_range_s": warm_range,
         "speedup": round(speedup, 3),
         "cache_hits": hits,
         "cache_misses": misses,
