@@ -335,6 +335,15 @@ class TestSizerExactTypes:
         assert default_sizer(_List([1, 2])) == 24
         assert default_sizer(_counter(["a", "a", 7])) == 8 + (1 + 8) + (8 + 8)
 
+    def test_a_window_sizes_as_the_pair_it_holds(self):
+        # a Window is a tuple of two ints; as a frozen dataclass it was
+        # sized from sys.getsizeof. Only KeyedState.size_bytes sizes one
+        # (in a slot key); no access counter does.
+        assert default_sizer(Window(0, 10)) == default_sizer((0, 10)) == 24
+        state = KeyedState()
+        state.put(("k", Window(0, 10)), 5)
+        assert state.size_bytes() == (8 + 1 + 24) + 8
+
 
 class TestSizeAtWrite:
     def test_read_charges_the_size_recorded_at_write(self):
