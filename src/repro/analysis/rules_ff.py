@@ -192,7 +192,6 @@ DEFAULT_FF_COVERAGE: Mapping[Tuple[str, str], Tuple[CoveredAttr, ...]] = {
         ("blame_s", "repeated-add"),
         ("deficit_s", "repeated-add"),
         ("ticks_observed", "repeated-add"),
-        ("_sig", "event-horizon"),
         ("_inc_blame", "event-horizon"),
         ("_inc_rows", "event-horizon"),
         ("_inc_deficit", "event-horizon"),
@@ -203,7 +202,6 @@ DEFAULT_FF_COVERAGE: Mapping[Tuple[str, str], Tuple[CoveredAttr, ...]] = {
         ("spans", "event-horizon"),
         ("_current", "event-horizon"),
         ("_since_s", "event-horizon"),
-        ("_sig", "event-horizon"),
         ("_inc_items", "event-horizon"),
         ("_dominant", "event-horizon"),
     ),

@@ -9,7 +9,7 @@ own outer-search layer — which
 tasks with distinct utilisations.
 
 This module supplies the inputs: skewed per-task rate splits (Zipf-like
-key popularity), the grouping of skewed tasks into demand buckets, and
+key popularity), their quantisation into demand buckets, and
 a :class:`~repro.core.cost_model.TaskCosts` builder that applies a
 skewed split to chosen operators instead of the uniform one.
 """
@@ -17,7 +17,7 @@ skewed split to chosen operators instead of the uniform one.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.dataflow.physical import PhysicalGraph
 from repro.core.cost_model import TaskCosts, UnitCosts, propagate_rates
@@ -114,23 +114,3 @@ def skewed_task_costs(
         u_io[task.uid] = rate * uc.io_bytes_per_record
         u_net[task.uid] = rate * uc.selectivity * uc.net_bytes_per_record
     return TaskCosts(physical, u_cpu, u_io, u_net, rates)
-
-
-def placement_groups(
-    costs: TaskCosts, operator: OperatorKey
-) -> Dict[Tuple[float, float, float], List[str]]:
-    """The demand buckets CAPS will explore as separate layers.
-
-    Groups the operator's task uids by their (cpu, io, net) utilisation
-    signature — the same criterion :class:`CapsSearch` uses when
-    building layers, exposed here for inspection and tests.
-    """
-    groups: Dict[Tuple[float, float, float], List[str]] = {}
-    for task in costs.physical.operator_tasks(*operator):
-        signature = (
-            costs.u_cpu[task.uid],
-            costs.u_io[task.uid],
-            costs.u_net[task.uid],
-        )
-        groups.setdefault(signature, []).append(task.uid)
-    return groups

@@ -14,7 +14,7 @@ their relative magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 GIB = 1024 ** 3
 MIB = 1024 ** 2
@@ -170,13 +170,6 @@ class Cluster:
 
     def slots_of(self, worker_id: int) -> int:
         return self.worker(worker_id).slots
-
-    def spec_groups(self) -> Dict[WorkerSpec, List[int]]:
-        """Worker ids grouped by identical spec (for duplicate elimination)."""
-        groups: Dict[WorkerSpec, List[int]] = {}
-        for w in self._workers:
-            groups.setdefault(w.spec, []).append(w.worker_id)
-        return groups
 
     def can_host(self, task_count: int) -> bool:
         """Whether the cluster has enough slots for ``task_count`` tasks.

@@ -7,10 +7,7 @@ deployment time rather than as silently wrong results.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
-
 from repro.dataflow.cluster import Cluster
-from repro.dataflow.graph import GraphValidationError, LogicalGraph
 from repro.dataflow.physical import PhysicalGraph
 
 
@@ -38,19 +35,3 @@ def validate_deployment(physical: PhysicalGraph, cluster: Cluster) -> None:
                 f"operator {operator!r} of job {job_id!r} has more tasks "
                 f"({len(members)}) than the cluster has slots"
             )
-
-
-def validate_parallelism_change(
-    graph: LogicalGraph, new_parallelism: Dict[str, int]
-) -> None:
-    """Check a proposed scaling decision against the logical graph."""
-    for operator, parallelism in new_parallelism.items():
-        if operator not in graph:
-            raise GraphValidationError(
-                f"scaling decision references unknown operator {operator!r}"
-            )
-        if parallelism < 1:
-            raise GraphValidationError(
-                f"scaling decision for {operator!r} must be >= 1, got {parallelism}"
-            )
-    graph.with_parallelism(new_parallelism).validate()

@@ -213,11 +213,10 @@ class ContentionAttributor:
     raw deficit (stall seconds) so conservation can be cross-checked
     after any run.
 
-    Per-tick inputs are deterministic functions of engine state, so the
-    computed increment is cached and reused while the input signature
-    is unchanged — which also makes :meth:`extend` (repeated addition
-    of the cached increment during a fast-forward leap) bit-identical
-    to stepping the skipped ticks.
+    The last observed tick's increment is kept: :meth:`extend` repeats
+    it for ticks whose inputs equal that tick's (the
+    :class:`~repro.diagnosis.collector.DiagnosisCollector` decides
+    which), which is bit-identical to observing them.
     """
 
     def __init__(self, task_count: int, task_worker: np.ndarray) -> None:
@@ -231,7 +230,6 @@ class ContentionAttributor:
             r: np.zeros(task_count) for r in RESOURCES
         }
         self.ticks_observed = 0
-        self._sig: Optional[bytes] = None
         self._inc_blame: Dict[str, np.ndarray] = {}
         self._inc_rows: Dict[str, np.ndarray] = {}
         self._inc_deficit: Dict[str, np.ndarray] = {}
@@ -257,83 +255,9 @@ class ContentionAttributor:
 
         Demands are per-task, scales/capacities per-worker; ``ckpt_io``
         is the optional per-worker checkpoint upload demand competing
-        for disk bandwidth.
+        for disk bandwidth. Computes the tick's increment and applies
+        it; :meth:`extend` repeats that increment.
         """
-        # Exact-value signature as one bytes string: per-array tobytes
-        # joined in a fixed order (shapes are fixed per engine, so the
-        # concatenation is injective). Bytes compare in C, which keeps
-        # the converged-tick fast path to a couple of microseconds.
-        sig = b"".join(
-            (
-                cpu_demand.tobytes(),
-                cpu_scale.tobytes(),
-                cpu_capacity.tobytes(),
-                cpu_effective.tobytes(),
-                io_demand.tobytes(),
-                io_scale.tobytes(),
-                disk_capacity.tobytes(),
-                disk_effective.tobytes(),
-                ckpt_io.tobytes() if ckpt_io is not None else b"",
-                net_demand.tobytes(),
-                net_scale.tobytes(),
-                net_capacity.tobytes(),
-            )
-        )
-        if sig != self._sig:
-            self._sig = sig
-            self._recompute_increment(
-                dt,
-                cpu_demand,
-                cpu_scale,
-                cpu_capacity,
-                cpu_effective,
-                io_demand,
-                io_scale,
-                disk_capacity,
-                disk_effective,
-                ckpt_io,
-                net_demand,
-                net_scale,
-                net_capacity,
-            )
-        self._apply_increment()
-
-    def extend(self, ticks: int) -> None:
-        """Apply the cached per-tick increment ``ticks`` more times.
-
-        Called for fast-forward leaps, which the engine takes only at
-        exact fixed points while a collector is attached: there the
-        per-tick inputs are constant, so repeating the cached addition
-        reproduces tick-by-tick accumulation bit-for-bit.
-        """
-        for _ in range(ticks):
-            self._apply_increment()
-
-    def _apply_increment(self) -> None:
-        for resource in RESOURCES:
-            rows = self._inc_rows.get(resource)
-            if rows is None or not len(rows):
-                continue
-            self.blame_s[resource][rows] += self._inc_blame[resource]
-            self.deficit_s[resource][rows] += self._inc_deficit[resource]
-        self.ticks_observed += 1
-
-    def _recompute_increment(
-        self,
-        dt: float,
-        cpu_demand: np.ndarray,
-        cpu_scale: np.ndarray,
-        cpu_capacity: np.ndarray,
-        cpu_effective: np.ndarray,
-        io_demand: np.ndarray,
-        io_scale: np.ndarray,
-        disk_capacity: np.ndarray,
-        disk_effective: np.ndarray,
-        ckpt_io: Optional[np.ndarray],
-        net_demand: np.ndarray,
-        net_scale: np.ndarray,
-        net_capacity: np.ndarray,
-    ) -> None:
         per_resource = {
             "cpu": (cpu_demand, cpu_scale, cpu_capacity, cpu_effective, None),
             "disk": (io_demand, io_scale, disk_capacity, disk_effective, ckpt_io),
@@ -368,3 +292,25 @@ class ContentionAttributor:
             if len(rows):
                 self._inc_blame[resource] = inc[rows]
                 self._inc_deficit[resource] = deficit[rows]
+        self._apply_increment()
+
+    def extend(self, ticks: int) -> None:
+        """Apply the last observed tick's increment ``ticks`` more times.
+
+        Called for a tick whose input signature matches the last
+        observed one and for fast-forward leaps, which the engine takes
+        only at exact fixed points while a collector is attached.
+        Repeating the addition reproduces tick-by-tick accumulation
+        bit-for-bit.
+        """
+        for _ in range(ticks):
+            self._apply_increment()
+
+    def _apply_increment(self) -> None:
+        for resource in RESOURCES:
+            rows = self._inc_rows.get(resource)
+            if rows is None or not len(rows):
+                continue
+            self.blame_s[resource][rows] += self._inc_blame[resource]
+            self.deficit_s[resource][rows] += self._inc_deficit[resource]
+        self.ticks_observed += 1

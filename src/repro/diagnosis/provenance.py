@@ -73,7 +73,6 @@ class BottleneckTracker:
             job: None for job in self._job_source_idx
         }
         self._since_s: Dict[str, Seconds] = {}
-        self._sig: Optional[bytes] = None
         self._inc_items: List[Tuple[Tuple[str, int, str], Seconds]] = []
         self._dominant: Dict[str, Optional[OriginKey]] = {}
 
@@ -91,86 +90,12 @@ class BottleneckTracker:
         dt: float,
         tick_start_s: Seconds,
     ) -> None:
-        """Attribute one executed tick's backpressure to origins."""
-        # Same bytes-signature idiom as the attribution side: fixed
-        # shapes per engine make the joined tobytes injective, and the
-        # C-level bytes compare keeps converged ticks cheap.
-        sig = b"".join(
-            (
-                target.tobytes(),
-                proc_final.tobytes(),
-                throttle.tobytes(),
-                grants.tobytes(),
-                cpu_scale.tobytes(),
-                io_scale.tobytes(),
-                net_scale.tobytes(),
-                worker_alive.tobytes(),
-            )
-        )
-        if sig != self._sig:
-            self._sig = sig
-            self._recompute_increment(
-                target,
-                proc_final,
-                throttle,
-                grants,
-                cpu_scale,
-                io_scale,
-                net_scale,
-                worker_alive,
-                dt,
-            )
-        self._apply_increment()
-        self._update_timeline(tick_start_s)
+        """Attribute one executed tick's backpressure to origins.
 
-    def extend(self, ticks: int) -> None:
-        """Repeat the cached per-tick increment for a fast-forward leap.
-
-        With a collector attached the engine leaps only at exact fixed
-        points (period-1 cycles), where the per-tick inputs — and
-        therefore the dominant origin — are constant, so the timeline
-        needs no update.
+        Computes the tick's increment and dominant origins, applies the
+        increment and updates the timeline; :meth:`extend` repeats the
+        increment.
         """
-        for _ in range(ticks):
-            self._apply_increment()
-
-    def finish(self, end_s: Seconds) -> None:
-        """Close all open dominant-origin spans at ``end_s``."""
-        for job, origin in sorted(self._current.items()):
-            if origin is not None:
-                self.spans.append((job, origin, self._since_s[job], end_s))
-            self._current[job] = None
-
-    def _apply_increment(self) -> None:
-        for key, share_s in self._inc_items:
-            self.bp_s[key] = self.bp_s.get(key, 0.0) + share_s
-        self.ticks_observed += 1
-
-    def _update_timeline(self, tick_start_s: Seconds) -> None:
-        for job, dominant in self._dominant.items():
-            current = self._current.get(job)
-            if dominant == current:
-                continue
-            if current is not None:
-                self.spans.append(
-                    (job, current, self._since_s[job], tick_start_s)
-                )
-            self._current[job] = dominant
-            self._since_s[job] = tick_start_s
-
-    # -- increment computation -----------------------------------------
-    def _recompute_increment(
-        self,
-        target: np.ndarray,
-        proc_final: np.ndarray,
-        throttle: np.ndarray,
-        grants: np.ndarray,
-        cpu_scale: np.ndarray,
-        io_scale: np.ndarray,
-        net_scale: np.ndarray,
-        worker_alive: np.ndarray,
-        dt: float,
-    ) -> None:
         self._inc_items = []
         self._dominant = {}
         span_ticks = 1  # each increment covers exactly one executed tick
@@ -214,6 +139,45 @@ class BottleneckTracker:
             for key, share_s in zip(keys, shares):
                 self._inc_items.append(((job, key[0], key[1]), float(share_s)))
             self._dominant[job] = keys[int(np.argmax(weight_arr))]
+        self._apply_increment()
+        self._update_timeline(tick_start_s)
+
+    def extend(self, ticks: int) -> None:
+        """Repeat the last observed tick's increment ``ticks`` times.
+
+        Called for a tick whose input signature matches the last
+        observed one and for fast-forward leaps (with a collector
+        attached, the engine leaps only at exact fixed points). Either
+        way the per-tick inputs — and therefore the dominant origin —
+        are those of the last observed tick, so the timeline needs no
+        update.
+        """
+        for _ in range(ticks):
+            self._apply_increment()
+
+    def finish(self, end_s: Seconds) -> None:
+        """Close all open dominant-origin spans at ``end_s``."""
+        for job, origin in sorted(self._current.items()):
+            if origin is not None:
+                self.spans.append((job, origin, self._since_s[job], end_s))
+            self._current[job] = None
+
+    def _apply_increment(self) -> None:
+        for key, share_s in self._inc_items:
+            self.bp_s[key] = self.bp_s.get(key, 0.0) + share_s
+        self.ticks_observed += 1
+
+    def _update_timeline(self, tick_start_s: Seconds) -> None:
+        for job, dominant in self._dominant.items():
+            current = self._current.get(job)
+            if dominant == current:
+                continue
+            if current is not None:
+                self.spans.append(
+                    (job, current, self._since_s[job], tick_start_s)
+                )
+            self._current[job] = dominant
+            self._since_s[job] = tick_start_s
 
     def _walk(
         self,

@@ -39,6 +39,7 @@ from repro.runtime.queries import (
     new_user_auctions_template,
 )
 from repro.simulator.engine import FluidSimulation, SimulationConfig
+from repro.simulator.metrics import check_warmup
 from repro.workloads.nexmark import NexmarkGenerator
 from repro.workloads.queries import q1_sliding, q2_join, q6_session
 
@@ -173,11 +174,7 @@ def cross_validate(
         raise ValueError(f"unknown query {unknown[0]!r}; known: {known}")
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
-    if not (math.isfinite(warmup_s) and 0 <= warmup_s < duration_s):
-        raise ValueError(
-            f"warmup_s must be finite, non-negative and below duration_s "
-            f"({duration_s}), got {warmup_s}"
-        )
+    check_warmup(warmup_s, duration_s)
     cluster = cluster or default_cluster()
     config = SimulationConfig(dt=1.0, seed=seed, noise_std=0.0)
     rows: List[ValidationRow] = []

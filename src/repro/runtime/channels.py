@@ -83,12 +83,6 @@ class BoundedChannel:
     # ------------------------------------------------------------------
     # Producer side
     # ------------------------------------------------------------------
-    def free_credit(self) -> Optional[int]:
-        """Remaining credit, or ``None`` for an unbounded channel."""
-        if self.capacity is None:
-            return None
-        return self.capacity - self.occupancy
-
     def try_put(self, ticket: int, record: Record) -> bool:
         """Enqueue a data record if credit allows; False when blocked."""
         if self.capacity is not None and self.occupancy >= self.capacity:
@@ -118,18 +112,6 @@ class BoundedChannel:
     # ------------------------------------------------------------------
     # Consumer side
     # ------------------------------------------------------------------
-    def head_ticket(self) -> Optional[int]:
-        """Ticket of the next item, or ``None`` when empty."""
-        if not self.items:
-            return None
-        return self.items[0][0]
-
-    def head_kind(self) -> Optional[int]:
-        """Kind of the next item, or ``None`` when empty."""
-        if not self.items:
-            return None
-        return self.items[0][1]
-
     def get(self) -> Tuple[int, int, Any]:
         """Dequeue the next ``(ticket, kind, payload)`` item."""
         item = self.items.popleft()

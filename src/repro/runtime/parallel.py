@@ -67,6 +67,7 @@ from repro.runtime.operators import (
 from repro.runtime.state import StateStats
 from repro.simulator.contention import share_resources, thread_cap
 from repro.simulator.engine import SimulationConfig
+from repro.simulator.metrics import check_warmup
 from repro.simulator.network import NicModel
 from repro.simulator.state_backend import DiskModel
 
@@ -369,9 +370,10 @@ class ShardedExecutor:
         plan: Task placement; required with ``cluster``.
         cluster: Worker capacities. Providing a cluster turns on paced
             mode: virtual-time pacing with fluid-model record budgets.
-        source_rates: Target records/s per logical source operator,
-            used for the backpressure share of the run summary; when
-            omitted the rate is estimated from dataset timestamps.
+        source_rates: Target records/s per logical source operator.
+            Paced mode needs one for every source: it caps each
+            source's release per slice and is the target of the run
+            summary's backpressure share. The other modes ignore it.
         config: The fluid engine's configuration. Paced mode reads its
             contention coefficients and buffer sizing
             (``buffer_bytes_per_task``, ``max_buffer_seconds``), so one
@@ -382,8 +384,6 @@ class ShardedExecutor:
         tracer: Optional tracer; ``runtime.shard`` spans and per-slice
             job counters land in the ``sim`` clock domain.
         registry: Optional metric registry for end-of-run counters.
-        run_id: Only used for error messages; the tracer carries its
-            own run id.
     """
 
     def __init__(
@@ -409,8 +409,14 @@ class ShardedExecutor:
         self.registry = registry
         self._source_rates = dict(source_rates or {})
 
-        if cluster is not None and (physical is None or plan is None):
-            raise ValueError("paced mode needs both a physical graph and a plan")
+        if cluster is not None:
+            if physical is None or plan is None:
+                raise ValueError("paced mode needs both a physical graph and a plan")
+            for op in physical.logical_graphs[0].sources():
+                if op not in self._source_rates:
+                    raise ValueError(
+                        f"paced mode needs a rate for source {op!r} in source_rates"
+                    )
 
         # every enqueued item takes the next ticket
         self._tickets = itertools.count(1)
@@ -843,7 +849,9 @@ class ShardedExecutor:
         ``duration_s``/``warmup_s`` only apply to paced mode (a virtual
         wall to run to, and the summary's warmup cut); the single-
         instance and semantic modes always run their datasets to
-        completion.
+        completion. In paced mode ``warmup_s`` must lie below the run's
+        end: ``duration_s``, or the last slice's end when ``duration_s``
+        is None (the datasets run to completion).
         """
         if self.physical is None:
             return self._run_single_instance()
@@ -898,16 +906,20 @@ class ShardedExecutor:
     def _run_paced(
         self, duration_s: Optional[float], warmup_s: float
     ) -> RuntimeJobSummary:
+        check_warmup(warmup_s, math.inf if duration_s is None else duration_s)
         dt = _SLICE_S
-        rates = self._resolved_source_rates()
-        target_total = sum(rates.values())
+        rates = [
+            float(self._source_rates[members[0].operator_name])
+            for members in self._sources
+        ]
+        target_total = sum(rates)
         # Per-instance source offer cap, mirroring the fluid engine's
         # source ``want = target * dt``: a backlogged source may not
         # burst past its target rate to catch up, so shortfall shows up
         # as sustained backpressure exactly as it does in the model.
         source_cap = np.full(len(self._instances), np.inf)
-        for members in self._sources:
-            rate_per_inst = rates[members[0].operator_name] / len(members)
+        for members, rate in zip(self._sources, rates):
+            rate_per_inst = rate / len(members)
             for inst in members:
                 source_cap[self._instances.index(inst)] = rate_per_inst * dt
         samples: List[Tuple[float, float]] = []  # (slice_end_s, released)
@@ -971,43 +983,22 @@ class ShardedExecutor:
             ):
                 break
         self._emit_slice_trace(slice_index)
-        window = [(t, r) for t, r in samples if t >= warmup_s] or samples[-1:]
-        mean_throughput = (
-            sum(r for _, r in window) / (len(window) * dt) if window else 0.0
-        )
+        duration = samples[-1][0]
+        if duration_s is None:
+            check_warmup(warmup_s, duration)
+        window = [(t, r) for t, r in samples if t >= warmup_s]
+        mean_throughput = sum(r for _, r in window) / (len(window) * dt)
         backpressure = (
             max(0.0, 1.0 - mean_throughput / target_total)
             if target_total > 0 else 0.0
         )
-        duration = samples[-1][0] if samples else 0.0
         return RuntimeJobSummary(
             job_id=self.job_id,
             target_rate=target_total,
             throughput=mean_throughput,
             backpressure=backpressure,
-            duration_s=duration - warmup_s if duration > warmup_s else duration,
+            duration_s=duration - warmup_s,
         )
-
-    def _resolved_source_rates(self) -> Dict[str, float]:
-        rates: Dict[str, float] = {}
-        for position, members in enumerate(self._sources):
-            op = members[0].operator_name
-            if op in self._source_rates:
-                rates[op] = float(self._source_rates[op])
-                continue
-            timestamps = [
-                record.timestamp_ms
-                for inst in members for record in inst.records
-            ]
-            if len(timestamps) > 1:
-                span_ms = max(timestamps) - min(timestamps)
-                rates[op] = (
-                    (len(timestamps) - 1) * 1000.0 / span_ms
-                    if span_ms > 0 else float(len(timestamps))
-                )
-            else:
-                rates[op] = float(len(timestamps))
-        return rates
 
     def _run_slice(
         self, now_ms: float, budgets: Optional[np.ndarray]

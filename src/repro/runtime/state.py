@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 
 def default_sizer(value: Any) -> int:
@@ -116,19 +116,18 @@ class KeyedState:
     Keys are arbitrary hashables (typically ``(element_key, window)``
     pairs); values are whatever the operator accumulates.
 
-    :meth:`put` sizes the value and records that size beside it;
-    :meth:`get` charges the recorded size without sizing the value
-    again. That equals sizing the value at read time under this
-    contract: a value is not mutated between its ``put`` and a later
-    ``get`` unless it is ``put`` again. Every operator in
+    :meth:`put` sizes the value with :func:`default_sizer` and records
+    that size beside it; :meth:`get` charges the recorded size without
+    sizing the value again. That equals sizing the value at read time
+    under this contract: a value is not mutated between its ``put`` and
+    a later ``get`` unless it is ``put`` again. Every operator in
     :mod:`repro.runtime.operators` complies: a value it reads and then
     changes is ``put`` back before it is read again.
     """
 
-    def __init__(self, sizer: Callable[[Any], int] = default_sizer) -> None:
+    def __init__(self) -> None:
         # key -> (value, its size as of its last put)
         self._table: Dict[Any, Tuple[Any, int]] = {}
-        self._sizer = sizer
         self.stats = StateStats()
 
     def get(self, key: Any, default: Any = None) -> Any:
@@ -140,7 +139,7 @@ class KeyedState:
         return entry[0]
 
     def put(self, key: Any, value: Any) -> None:
-        size = self._sizer(value)
+        size = default_sizer(value)
         self.stats.writes += 1
         self.stats.bytes_written += size
         self._table[key] = (value, size)
@@ -162,7 +161,7 @@ class KeyedState:
         """Retained state size: every key's size plus its value's size
         as recorded at its last ``put``. A diagnostic; no access
         counter reads it."""
-        return sum(self._sizer(key) + size for key, (_, size) in self._table.items())
+        return sum(default_sizer(key) + size for key, (_, size) in self._table.items())
 
     def __len__(self) -> int:
         return len(self._table)

@@ -18,7 +18,7 @@ parallelism the deployment fixes), matching the paper's experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.dataflow.graph import LogicalGraph
@@ -26,6 +26,10 @@ from repro.scaling.rates import OperatorRates
 from repro.units import Fraction, RecordsPerSecond
 
 OperatorKey = Tuple[str, str]
+
+#: Floor applied to measured true rates, so a starved task (or an
+#: operator with no rates) cannot cause a divide-by-zero explosion.
+MIN_TRUE_RATE: RecordsPerSecond = 1e-6
 
 
 @dataclass(frozen=True)
@@ -50,8 +54,6 @@ class DS2Controller:
         utilisation_target: Fraction of a task's true rate DS2 plans to
             use; 1.0 is the classic DS2 model. Values below 1 add
             headroom.
-        min_true_rate: Floor applied to measured true rates to avoid
-            divide-by-zero explosions from starved tasks.
     """
 
     def __init__(
@@ -59,7 +61,6 @@ class DS2Controller:
         graph: LogicalGraph,
         max_parallelism: Optional[int] = None,
         utilisation_target: Fraction = 1.0,
-        min_true_rate: RecordsPerSecond = 1e-6,
     ) -> None:
         graph.validate()
         if not 0 < utilisation_target <= 1.0:
@@ -67,7 +68,6 @@ class DS2Controller:
         self.graph = graph
         self.max_parallelism = max_parallelism
         self.utilisation_target = utilisation_target
-        self.min_true_rate = min_true_rate
 
     # ------------------------------------------------------------------
     def decide(
@@ -115,9 +115,9 @@ class DS2Controller:
                     # to this operator; the physical fan-out shares are a
                     # partitioning detail below the operator level.
                     rate_in += target_out[edge.src]
-                true_rate = self.min_true_rate
+                true_rate = MIN_TRUE_RATE
                 if rates is not None:
-                    true_rate = max(rates.true_rate_per_task, self.min_true_rate)
+                    true_rate = max(rates.true_rate_per_task, MIN_TRUE_RATE)
                 required = rate_in / (true_rate * self.utilisation_target)
                 p = max(1, math.ceil(required - 1e-9))
                 if self.max_parallelism is not None:
@@ -134,38 +134,3 @@ class DS2Controller:
             target_input_rates=target_in,
             changed=changed,
         )
-
-    # ------------------------------------------------------------------
-    def decide_from_specs(
-        self, target_source_rates: Mapping[str, float]
-    ) -> ScalingDecision:
-        """A DS2 decision from ground-truth specs (no measurements).
-
-        Used to bootstrap deployments the way the paper manually tunes
-        the initial configuration of the accuracy experiment (section
-        6.4.1): the true rate of an operator is its uncontended service
-        rate on the reference worker.
-        """
-        # Without measurements, approximate the true rate as the inverse
-        # of the spec-derived service time on an idle reference worker.
-        from repro.core.cost_model import UnitCosts  # local import: avoid cycle
-
-        fake_rates: Dict[OperatorKey, OperatorRates] = {}
-        job = self.graph.job_id
-        for op in self.graph.topological_order():
-            spec = self.graph.operator(op)
-            uc = UnitCosts.from_spec(spec)
-            worker = None
-            service = uc.cpu_per_record
-            # Reference disk/NIC rates come from the graph's typical
-            # deployment; without a cluster we use conservative constants.
-            service += uc.io_bytes_per_record / (300 * 1024 * 1024)
-            service += uc.net_bytes_per_record * uc.selectivity / (1.25e9)
-            true_rate = 1.0 / service if service > 0 else 1e12
-            fake_rates[(job, op)] = OperatorRates(
-                true_rate_per_task=true_rate,
-                observed_rate=1.0,
-                observed_output_rate=spec.selectivity,
-                busy_fraction=1.0,
-            )
-        return self.decide(fake_rates, target_source_rates)

@@ -61,7 +61,7 @@ from repro.simulator.contention import (
 )
 from repro.faults.checkpoint import CheckpointConfig
 from repro.observability import MetricRegistry, Tracer
-from repro.simulator.metrics import MetricsCollector, TickSample
+from repro.simulator.metrics import MetricsCollector, TickSample, check_warmup
 from repro.simulator.network import NicModel
 from repro.simulator.results import SimulationSummary
 from repro.simulator.state_backend import DiskModel
@@ -1287,11 +1287,17 @@ class FluidSimulation:
     # Drivers
     # ------------------------------------------------------------------
     def run(self, duration_s: Seconds, warmup_s: Seconds = 0.0) -> SimulationSummary:
-        """Simulate for ``duration_s`` and summarise the post-warmup part."""
+        """Simulate for ``duration_s`` and summarise the post-warmup part.
+
+        ``warmup_s`` is absolute simulated time: it must lie below the
+        engine's ``time_s`` after this run (a run may follow another).
+        """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         ticks = max(1, int(round(duration_s / self.config.dt)))
-        self._advance_to_tick(self._tick_index + ticks)
+        end_tick = self._tick_index + ticks
+        check_warmup(warmup_s, end_tick * self.config.dt)
+        self._advance_to_tick(end_tick)
         return self.metrics.summarize(warmup_s=warmup_s)
 
     def run_until(self, time_s: Seconds) -> None:

@@ -25,6 +25,7 @@ exactly equal to tick-by-tick execution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -221,10 +222,9 @@ class MetricsCollector:
 
     Attributes:
         settle_hook: Called with the collector before the task window
-            or the worker rows are read or replicated, and before a row
-            is recorded directly; the engine sets it to derive the rows
-            of the ticks it has not derived yet. ``None`` (the default)
-            when every row is recorded directly.
+            or the worker rows are read or replicated; the engine sets
+            it to derive the rows of the ticks it has not derived yet.
+            ``None`` (the default) when every row is recorded directly.
     """
 
     def __init__(
@@ -244,7 +244,7 @@ class MetricsCollector:
             j: _ColumnStore(columns=6) for j in self.job_ids
         }
         # Worker stores are sized lazily: the worker count is only known
-        # at the first record_worker_usage call.
+        # at the first record_worker_block call.
         self._worker_cpu: Optional[_ColumnStore] = None
         self._worker_io: Optional[_ColumnStore] = None
         self._worker_net: Optional[_ColumnStore] = None
@@ -293,22 +293,6 @@ class MetricsCollector:
                 help="Per-tick Little's-law latency estimates.",
             ).observe(sample.latency_s)
 
-    def record_task_tick(
-        self,
-        observed_rate: np.ndarray,
-        true_rate: np.ndarray,
-        observed_output_rate: np.ndarray,
-        busy_fraction: np.ndarray,
-    ) -> None:
-        """Per-task rates for one tick: a block of one."""
-        self._settle()
-        self.record_task_block(
-            np.asarray(observed_rate)[None],
-            np.asarray(true_rate)[None],
-            np.asarray(observed_output_rate)[None],
-            np.asarray(busy_fraction)[None],
-        )
-
     def record_task_block(
         self,
         observed_rate: np.ndarray,
@@ -321,29 +305,14 @@ class MetricsCollector:
             observed_rate, true_rate, observed_output_rate, busy_fraction
         )
 
-    def record_worker_usage(
-        self,
-        cpu_utilisation: np.ndarray,
-        io_bytes_per_s: np.ndarray,
-        net_bytes_per_s: np.ndarray,
-    ) -> None:
-        """Per-worker resource usage for one tick (profiling inputs): a
-        block of one."""
-        self._settle()
-        self.record_worker_block(
-            np.asarray(cpu_utilisation)[None],
-            np.asarray(io_bytes_per_s)[None],
-            np.asarray(net_bytes_per_s)[None],
-        )
-
     def record_worker_block(
         self,
         cpu_utilisation: np.ndarray,
         io_bytes_per_s: np.ndarray,
         net_bytes_per_s: np.ndarray,
     ) -> None:
-        """Per-worker resource usage for ``k`` ticks, one ``(k, workers)``
-        array each."""
+        """Per-worker resource usage (the profiling inputs) for ``k``
+        ticks, one ``(k, workers)`` array each."""
         if self._worker_cpu is None:
             workers = cpu_utilisation.shape[1]
             self._worker_cpu = _ColumnStore(columns=workers)
@@ -423,8 +392,7 @@ class MetricsCollector:
     ) -> np.ndarray:
         if store is None or store.rows == 0:
             raise RuntimeError("no worker samples recorded yet")
-        start = min(int(warmup_s / dt), store.rows - 1)
-        return np.mean(store.data()[start:], axis=0)
+        return np.mean(store.data()[int(warmup_s / dt):], axis=0)
 
     def worker_cpu_utilisation(self, warmup_s: Seconds = 0.0, dt: SecondsPerTick = 1.0) -> np.ndarray:
         """Mean post-warmup CPU utilisation per worker."""
@@ -473,7 +441,12 @@ class MetricsCollector:
         ]
 
     def summarize(self, warmup_s: Seconds = 0.0) -> SimulationSummary:
-        """Average the post-warmup portion of every job's series."""
+        """Average the post-warmup portion of every job's series.
+
+        The engine's ``run`` checks ``warmup_s`` (:func:`check_warmup`)
+        first; every job's series ends at that run's last tick, so each
+        window holds a sample.
+        """
         # The deployment duration is the maximum over *all* job series;
         # it must be final before any summary is built, otherwise jobs
         # summarized earlier would see a partially-accumulated maximum
@@ -489,14 +462,25 @@ class MetricsCollector:
             data = self._series[job_id].data()
             times = data[:, _TIME]
             window = data[times >= warmup_s]
-            if not len(window):
-                window = data[-1:]
             jobs[job_id] = JobSummary(
                 job_id=job_id,
                 target_rate=float(np.mean(window[:, _TARGET])),
                 throughput=float(np.mean(window[:, _THPT])),
                 backpressure=float(np.mean(window[:, _BP])),
                 latency_s=float(np.mean(window[:, _LAT])),
-                duration_s=duration - warmup_s if duration > warmup_s else duration,
+                duration_s=duration - warmup_s,
             )
         return SimulationSummary(jobs=jobs, duration_s=duration, warmup_s=warmup_s)
+
+
+def check_warmup(warmup_s: Seconds, end_s: Seconds) -> None:
+    """Reject a warmup that leaves no measured window before ``end_s``.
+
+    A summary averages the samples from ``warmup_s`` to the run's end,
+    so the warmup must be finite, non-negative and below that end.
+    """
+    if not (math.isfinite(warmup_s) and 0.0 <= warmup_s < end_s):
+        raise ValueError(
+            f"warmup_s must be finite, non-negative and below the run's end "
+            f"({end_s:g} s), got {warmup_s!r}"
+        )

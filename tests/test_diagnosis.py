@@ -341,6 +341,79 @@ class TestFastForwardBitIdentity:
 
 
 # ----------------------------------------------------------------------
+# The collector's input signature only skips recomputation
+# ----------------------------------------------------------------------
+class TestCollectorSignature:
+    """A tick whose signature matches the last observed tick's repeats
+    the components' increments; observing it afresh must give the same
+    bits."""
+
+    def diagnosed_run(self, fast_forward, force_miss):
+        # w3, which hosts win[2] and win[3], has its disk degraded at
+        # 60 s; w1, which hosts win[1], dies at 200 s
+        engine = build_engine(
+            pipeline(window_p=4), rate=30_000.0,
+            placement={
+                "job/src[0]": 0,
+                "job/win[0]": 0,
+                "job/win[1]": 1,
+                "job/win[2]": 3,
+                "job/win[3]": 3,
+            },
+            workers=4,
+            fast_forward=fast_forward,
+        )
+        chaos = ChaosSchedule.parse("disk:w3@60x0.25,crash:w1@200")
+        engine.set_fault_driver(EngineFaultDriver(chaos, engine.cluster))
+        diag = engine.enable_diagnosis()
+        counts = {"ticks": 0, "recomputes": 0}
+        observe_tick = diag.observe_tick
+        attribute = diag.attribution.observe
+
+        def observe(*args):
+            counts["ticks"] += 1
+            if force_miss:
+                diag._sig = None
+            observe_tick(*args)
+
+        def attribution_observe(*args):
+            counts["recomputes"] += 1
+            attribute(*args)
+
+        diag.observe_tick = observe
+        diag.attribution.observe = attribution_observe
+        engine.run(360.0)
+        diag.flush(None)
+        return diag, counts
+
+    @pytest.mark.parametrize("fast_forward", [False, True])
+    def test_forced_misses_give_identical_bits(self, fast_forward):
+        cached, counts = self.diagnosed_run(fast_forward, force_miss=False)
+        fresh, fresh_counts = self.diagnosed_run(fast_forward, force_miss=True)
+        # the cached run reused increments; the forced run never did
+        ticks = counts["ticks"]
+        assert counts["recomputes"] < ticks
+        assert fresh_counts == {"ticks": ticks, "recomputes": ticks}
+        for resource in ("cpu", "disk", "network"):
+            assert (
+                cached.attribution.blame_s[resource].tobytes()
+                == fresh.attribution.blame_s[resource].tobytes()
+            )
+            assert (
+                cached.attribution.deficit_s[resource].tobytes()
+                == fresh.attribution.deficit_s[resource].tobytes()
+            )
+        assert repr(sorted(cached.provenance.bp_s.items())) == repr(
+            sorted(fresh.provenance.bp_s.items())
+        )
+        assert cached.provenance.spans == fresh.provenance.spans
+        # both faults left their mark
+        origins = {resource for _, _, resource in cached.provenance.bp_s}
+        assert {"crash", "disk"} <= origins
+        assert cached.attribution.deficit_s["disk"].any()
+
+
+# ----------------------------------------------------------------------
 # End-to-end chaos: injected straggler must rank #1
 # ----------------------------------------------------------------------
 class TestChaosRootCause:

@@ -116,14 +116,6 @@ class TestDecide:
         assert decision.total_tasks() == 5
 
 
-class TestDecideFromSpecs:
-    def test_bootstrap_without_measurements(self):
-        ds2 = DS2Controller(chain_graph())
-        decision = ds2.decide_from_specs({"src": 1000.0})
-        assert decision.parallelism["map"] >= 1
-        assert decision.parallelism["agg"] >= 1
-
-
 class TestValidation:
     def test_utilisation_target_bounds(self):
         with pytest.raises(ValueError):

@@ -310,6 +310,28 @@ class TestRunDrivers:
         with pytest.raises(ValueError):
             sim.run(0.0)
 
+    @pytest.mark.parametrize("warmup", [10.0, 50.0, -1.0, float("nan")])
+    def test_run_rejects_a_warmup_without_a_window(self, warmup):
+        # at the end, past it, negative, not a number
+        g = pipeline()
+        physical = PhysicalGraph.expand(g)
+        cluster = Cluster.homogeneous(SPEC, count=2)
+        sim = FluidSimulation(physical, cluster, spread_plan(physical, 2), {"src": 100.0})
+        with pytest.raises(ValueError, match="warmup_s"):
+            sim.run(10.0, warmup_s=warmup)
+        assert sim.time_s == 0.0  # rejected before running
+
+    def test_warmup_is_measured_from_the_first_run(self):
+        g = pipeline()
+        physical = PhysicalGraph.expand(g)
+        cluster = Cluster.homogeneous(SPEC, count=2)
+        sim = FluidSimulation(physical, cluster, spread_plan(physical, 2), {"src": 100.0})
+        sim.run(10.0)
+        # the second run ends at 20 s
+        assert sim.run(10.0, warmup_s=15.0).only.duration_s == pytest.approx(5.0)
+        with pytest.raises(ValueError, match="warmup_s"):
+            sim.run(10.0, warmup_s=30.0)
+
     def test_worker_state_bytes_accumulate(self):
         g = LogicalGraph("job")
         g.add_operator(OperatorSpec("src", is_source=True), parallelism=1)

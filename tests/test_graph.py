@@ -126,6 +126,10 @@ class TestLogicalGraphConstruction:
         assert g.parallelism("map") == 3
         assert clone.parallelism("win") == 4
 
+    def test_with_parallelism_rejects_unknown_operator(self):
+        with pytest.raises(GraphValidationError, match="ghost"):
+            simple_graph().with_parallelism({"ghost": 2})
+
     def test_job_id_defaults_to_name(self):
         assert LogicalGraph("q").job_id == "q"
         assert LogicalGraph("q", job_id="tenant-1/q").job_id == "tenant-1/q"

@@ -34,13 +34,13 @@ class TestTaskRates:
 class TestTaskWindow:
     def test_window_average(self):
         c = collector(window=2)
-        c.record_task_tick(
-            np.array([10.0, 0.0]), np.array([100.0, 50.0]),
-            np.array([5.0, 0.0]), np.array([0.1, 0.0]),
+        c.record_task_block(
+            np.array([[10.0, 0.0]]), np.array([[100.0, 50.0]]),
+            np.array([[5.0, 0.0]]), np.array([[0.1, 0.0]]),
         )
-        c.record_task_tick(
-            np.array([20.0, 0.0]), np.array([100.0, 50.0]),
-            np.array([10.0, 0.0]), np.array([0.2, 0.0]),
+        c.record_task_block(
+            np.array([[20.0, 0.0]]), np.array([[100.0, 50.0]]),
+            np.array([[10.0, 0.0]]), np.array([[0.2, 0.0]]),
         )
         rates = c.task_rates()
         assert rates["job/a[0]"].observed_rate == pytest.approx(15.0)
@@ -48,8 +48,9 @@ class TestTaskWindow:
 
     def test_window_is_rolling(self):
         c = collector(window=1)
-        c.record_task_tick(np.array([10.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
-        c.record_task_tick(np.array([30.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+        zeros = np.zeros((1, 2))
+        c.record_task_block(np.array([[10.0, 0.0]]), zeros, zeros, zeros)
+        c.record_task_block(np.array([[30.0, 0.0]]), zeros, zeros, zeros)
         assert c.task_rates()["job/a[0]"].observed_rate == pytest.approx(30.0)
 
     def test_empty_window_raises(self):
@@ -65,8 +66,8 @@ class TestWorkerUsage:
     def test_post_warmup_means(self):
         c = collector()
         for util in (0.2, 0.4, 0.8):
-            c.record_worker_usage(
-                np.array([util]), np.array([util * 1e6]), np.array([0.0])
+            c.record_worker_block(
+                np.array([[util]]), np.array([[util * 1e6]]), np.array([[0.0]])
             )
         assert c.worker_cpu_utilisation(warmup_s=1.0, dt=1.0)[0] == pytest.approx(0.6)
         assert c.worker_io_rate(warmup_s=0.0)[0] == pytest.approx(1.4e6 / 3)
@@ -121,8 +122,8 @@ class TestSummaries:
         c = collector()
         for t in (1.0, 2.0, 3.0, 4.0, 5.0):
             c.record_job_tick("job", sample(t, thpt=10.0 * t))
-            rates = np.full(2, t)
-            c.record_task_tick(rates, rates, rates, np.zeros(2))
+            rates = np.full((1, 2), t)
+            c.record_task_block(rates, rates, rates, np.zeros((1, 2)))
         c.repeat_last(1, 3, np.array([6.0, 7.0, 8.0]))
         full = c.job_series("job")
         assert len(full) == 8

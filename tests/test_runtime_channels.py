@@ -24,9 +24,9 @@ class TestCredit:
     def test_credit_returns_on_get(self):
         ch = BoundedChannel("a->b", capacity=1)
         ch.try_put(1, Record(0, "x"))
-        assert ch.free_credit() == 0
+        assert ch.capacity - ch.occupancy == 0
         ch.get()
-        assert ch.free_credit() == 1
+        assert ch.capacity - ch.occupancy == 1
         assert ch.try_put(2, Record(1, "y"))
         assert ch.stats.dequeued == 1
 
@@ -34,7 +34,7 @@ class TestCredit:
         ch = BoundedChannel("a->b", capacity=None)
         for i in range(100):
             assert ch.try_put(i, Record(i, i))
-        assert ch.free_credit() is None
+        assert ch.occupancy == 100
         assert ch.stats.blocked_puts == 0
 
     def test_capacity_must_be_positive(self):
@@ -82,13 +82,12 @@ class TestWatermarks:
 class TestTickets:
     def test_head_ticket_and_kind(self):
         ch = BoundedChannel("a->b")
-        assert ch.head_ticket() is None
-        assert ch.head_kind() is None
+        assert not ch.items
         ch.put_watermark(7, 10)
-        assert ch.head_ticket() == 7
-        assert ch.head_kind() == ITEM_WATERMARK
+        ticket, kind, _payload = ch.items[0]
+        assert (ticket, kind) == (7, ITEM_WATERMARK)
         ch.get()
-        assert ch.head_ticket() is None
+        assert not ch.items
 
     def test_get_returns_ticket_kind_payload(self):
         ch = BoundedChannel("a->b")

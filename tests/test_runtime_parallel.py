@@ -211,6 +211,40 @@ class TestBackpressure:
                 assert stats.peak_occupancy <= 4
 
 
+class TestPacedInputs:
+    def _executor(self, bids, source_rates=None):
+        physical = PhysicalGraph.expand(q1_sliding(1, 2, 2))
+        cluster = Cluster.homogeneous(R5D_XLARGE.with_slots(4), count=2)
+        plan = FlinkEvenlyStrategy(seed=0).place_validated(physical, cluster)
+        return ShardedExecutor(
+            hot_items_template(bids),
+            physical=physical,
+            plan=plan,
+            cluster=cluster,
+            source_rates={"source": 460.0} if source_rates is None else source_rates,
+        )
+
+    def test_a_source_without_a_rate_is_rejected(self, events):
+        with pytest.raises(ValueError, match="'source'"):
+            self._executor(events["bids"], source_rates={"other": 460.0})
+
+    @pytest.mark.parametrize("warmup", [4.0, 50.0, -1.0, float("nan")])
+    def test_warmup_must_lie_below_the_duration(self, events, warmup):
+        # at the end, past it, negative, not a number
+        with pytest.raises(ValueError, match="warmup_s"):
+            self._executor(events["bids"]).run(duration_s=4.0, warmup_s=warmup)
+
+    def test_warmup_must_lie_below_the_last_slice_end(self, events):
+        bids = events["bids"][:200]
+        # with no duration the run ends with the last slice that drains
+        end = self._executor(bids).run().summary.duration_s
+        for warmup in (end, end + 1.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="warmup_s"):
+                self._executor(bids).run(warmup_s=warmup)
+        summary = self._executor(bids).run(warmup_s=end - 0.05).summary
+        assert summary.duration_s == pytest.approx(0.05)
+
+
 class TestDoubleRunDeterminism:
     def _run_traced(self, events):
         graph = q1_sliding(1, 2, 2)

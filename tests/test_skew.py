@@ -9,7 +9,6 @@ from repro.core.cost_model import CostModel, UnitCosts
 from repro.core.search import CapsSearch
 from repro.core.skew import (
     bucket_shares,
-    placement_groups,
     skewed_task_costs,
     zipf_shares,
 )
@@ -108,17 +107,6 @@ class TestSkewedTaskCosts:
 
 
 class TestPlacementGroups:
-    def test_groups_match_buckets(self):
-        _, physical, unit_costs = setup()
-        shares = bucket_shares(zipf_shares(4, 1.0), groups=2)
-        costs = skewed_task_costs(
-            physical, unit_costs, {("g", "src"): 1000.0},
-            {("g", "win"): shares},
-        )
-        groups = placement_groups(costs, ("g", "win"))
-        assert len(groups) == 2
-        assert sum(len(uids) for uids in groups.values()) == 4
-
     def test_search_explores_groups_as_layers(self):
         """The end-to-end section 5.2 behaviour: skewed costs make the
         search split the operator into placement-group layers and
@@ -133,7 +121,9 @@ class TestPlacementGroups:
         model = CostModel(physical, cluster, costs)
         search = CapsSearch(model)
         win_layers = [l for l in search.layers if l.key == ("g", "win")]
+        # two demand buckets -> two layers holding all four tasks
         assert len(win_layers) == 2
+        assert sum(len(l.task_uids) for l in win_layers) == 4
         result = search.run()
         assert result.found
         # the two hot tasks land on different workers

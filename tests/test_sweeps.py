@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dataflow.graph import GraphValidationError
 from repro.experiments import make_motivation_cluster
 from repro.experiments.runner import plan_with_colocation
 from repro.experiments.sweeps import (
@@ -10,9 +9,8 @@ from repro.experiments.sweeps import (
     default_coefficient_grid,
     sweep_colocation_penalty,
 )
-from repro.dataflow.validation import validate_parallelism_change
 from repro.simulator.contention import ContentionConfig
-from repro.workloads import q2_join, q1_sliding
+from repro.workloads import q2_join
 
 
 class TestSweepPoint:
@@ -55,15 +53,3 @@ class TestSweep:
             assert point.balanced_throughput > 0
             assert point.ordering_holds
 
-
-class TestValidateParallelismChange:
-    def test_accepts_valid_change(self):
-        validate_parallelism_change(q1_sliding(), {"sliding_window": 6})
-
-    def test_rejects_unknown_operator(self):
-        with pytest.raises(GraphValidationError):
-            validate_parallelism_change(q1_sliding(), {"ghost": 2})
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(GraphValidationError):
-            validate_parallelism_change(q1_sliding(), {"map": 0})
