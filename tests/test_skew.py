@@ -107,6 +107,21 @@ class TestSkewedTaskCosts:
 
 
 class TestPlacementGroups:
+    def test_groups_match_buckets(self):
+        """Two demand buckets give two placement-group layers that hold
+        all four tasks of the operator."""
+        _, physical, unit_costs = setup()
+        cluster = Cluster.homogeneous(SPEC, count=3)
+        shares = bucket_shares(zipf_shares(4, 1.0), groups=2)
+        costs = skewed_task_costs(
+            physical, unit_costs, {("g", "src"): 1000.0},
+            {("g", "win"): shares},
+        )
+        search = CapsSearch(CostModel(physical, cluster, costs))
+        groups = [l for l in search.layers if l.key == ("g", "win")]
+        assert len(groups) == 2
+        assert sum(len(l.task_uids) for l in groups) == 4
+
     def test_search_explores_groups_as_layers(self):
         """The end-to-end section 5.2 behaviour: skewed costs make the
         search split the operator into placement-group layers and
@@ -121,9 +136,7 @@ class TestPlacementGroups:
         model = CostModel(physical, cluster, costs)
         search = CapsSearch(model)
         win_layers = [l for l in search.layers if l.key == ("g", "win")]
-        # two demand buckets -> two layers holding all four tasks
         assert len(win_layers) == 2
-        assert sum(len(l.task_uids) for l in win_layers) == 4
         result = search.run()
         assert result.found
         # the two hot tasks land on different workers
