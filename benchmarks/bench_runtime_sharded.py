@@ -48,8 +48,8 @@ MODE_REPEATS = 5
 
 
 def _bids(count=20_000):
-    stream = NexmarkGenerator(seed=11, events_per_second=2000.0).take(count)
-    return [r for kind, r in stream if kind == "bid"]
+    generator = NexmarkGenerator(seed=11, events_per_second=2000.0)
+    return generator.take_by_kind(count, ("bid",))[2]
 
 
 def test_sharded_executor_modes(benchmark):

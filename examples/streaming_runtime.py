@@ -16,15 +16,12 @@ from repro.runtime.queries import (
     new_user_auctions_template,
 )
 from repro.workloads import q1_sliding
-from repro.workloads.nexmark import NexmarkGenerator
+from repro.workloads.nexmark import KINDS, NexmarkGenerator
 
 
 def main() -> None:
     generator = NexmarkGenerator(seed=7, events_per_second=1000.0)
-    stream = generator.take(30_000)
-    persons = [r for kind, r in stream if kind == "person"]
-    auctions = [r for kind, r in stream if kind == "auction"]
-    bids = [r for kind, r in stream if kind == "bid"]
+    persons, auctions, bids = generator.take_by_kind(30_000, KINDS)
     print(f"event stream: {len(persons)} persons, {len(auctions)} auctions, "
           f"{len(bids)} bids")
 

@@ -39,8 +39,8 @@ from repro.runtime.queries import (
     new_user_auctions_template,
 )
 from repro.simulator.engine import FluidSimulation, SimulationConfig
-from repro.simulator.metrics import check_warmup
-from repro.workloads.nexmark import NexmarkGenerator
+from repro.simulator.metrics import check_duration, check_warmup
+from repro.workloads.nexmark import Auction, Bid, NexmarkGenerator, Person
 from repro.workloads.queries import q1_sliding, q2_join, q6_session
 
 #: Events per Nexmark generation cycle and the per-kind counts within it
@@ -80,17 +80,16 @@ class ValidationRow:
 
 
 def _generate_events(
-    seed: int, events_per_second: float, duration_s: float
-) -> Tuple[list, list, list]:
-    """Seeded Nexmark events covering ``duration_s``, split by kind."""
+    seed: int, events_per_second: float, duration_s: float, kinds: Sequence[str]
+) -> Tuple[List[Person], List[Auction], List[Bid]]:
+    """Seeded Nexmark events covering ``duration_s``, split by kind.
+
+    Only ``kinds`` are built; the other kinds' lists come back empty.
+    """
     count = int(math.ceil(events_per_second * duration_s)) + _CYCLE
-    events = NexmarkGenerator(
+    return NexmarkGenerator(
         seed=seed, events_per_second=events_per_second
-    ).take(count)
-    persons = [e for kind, e in events if kind == "person"]
-    auctions = [e for kind, e in events if kind == "auction"]
-    bids = [e for kind, e in events if kind == "bid"]
-    return persons, auctions, bids
+    ).take_by_kind(count, kinds)
 
 
 def q1_scenario(
@@ -99,7 +98,7 @@ def q1_scenario(
     """Q1-sliding at a moderate bid rate on the small cluster."""
     bid_rate = 1200.0 * rate_scale
     eps = bid_rate * _CYCLE / _BIDS_PER_CYCLE
-    _, _, bids = _generate_events(seed, eps, duration_s)
+    _, _, bids = _generate_events(seed, eps, duration_s, ("bid",))
     return ValidationScenario(
         query="q1",
         graph=q1_sliding(1, 2, 2),
@@ -113,7 +112,9 @@ def q2_scenario(
 ) -> ValidationScenario:
     """Q2-join: persons and auctions of one generator stream."""
     eps = 2000.0 * rate_scale
-    persons, auctions, _ = _generate_events(seed, eps, duration_s)
+    persons, auctions, _ = _generate_events(
+        seed, eps, duration_s, ("person", "auction")
+    )
     return ValidationScenario(
         query="q2",
         graph=q2_join(1, 1, 2),
@@ -131,7 +132,7 @@ def q6_scenario(
     """Q6-session at a moderate bid rate."""
     bid_rate = 800.0 * rate_scale
     eps = bid_rate * _CYCLE / _BIDS_PER_CYCLE
-    _, _, bids = _generate_events(seed, eps, duration_s)
+    _, _, bids = _generate_events(seed, eps, duration_s, ("bid",))
     return ValidationScenario(
         query="q6",
         graph=q6_session(1, 2, 2),
@@ -172,8 +173,7 @@ def cross_validate(
     if unknown:
         known = ", ".join(sorted(SCENARIOS))
         raise ValueError(f"unknown query {unknown[0]!r}; known: {known}")
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    check_duration(duration_s)
     check_warmup(warmup_s, duration_s)
     cluster = cluster or default_cluster()
     config = SimulationConfig(dt=1.0, seed=seed, noise_std=0.0)

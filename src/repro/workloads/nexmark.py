@@ -13,9 +13,11 @@ used to sanity-check the selectivity constants baked into
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import cycle, islice
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 FIRST_PERSON_ID = 1000
 FIRST_AUCTION_ID = 2000
@@ -56,18 +58,40 @@ class Bid:
 
 Event = Tuple[str, object]  # ("person"|"auction"|"bid", record)
 
+#: The event kinds: the tags of :meth:`NexmarkGenerator.take`, in the
+#: order of the lists :meth:`NexmarkGenerator.take_by_kind` returns.
+KINDS = ("person", "auction", "bid")
+_PERSON, _AUCTION, _BID = range(3)
+
 _CITIES = ["Boston", "Seattle", "Austin", "Portland", "Chicago", "Denver"]
 _STATES = ["MA", "WA", "TX", "OR", "IL", "CO"]
 _NAMES = ["ada", "grace", "alan", "edsger", "barbara", "dennis", "ken", "leslie"]
+#: Bids draw from the most recently opened auctions, at most this many.
+_LIVE_AUCTIONS = 500
+#: Auction categories are drawn below this bound; initial bids and bid
+#: prices are 1 plus a draw below theirs.
+_CATEGORIES = 10
+_INITIAL_BID_BOUND = 999
+_PRICE_BOUND = 9_999
 
 
 class NexmarkGenerator:
     """Deterministic Nexmark event stream generator.
 
     Events are generated in timestamp order with the classic Nexmark
-    person:auction:bid proportions of 1:3:46 by default. The generator is
-    seeded and therefore fully reproducible; two generators with the same
-    seed yield identical streams.
+    person:auction:bid proportions of 1:3:46 by default; each cycle of
+    events starts with its persons, then its auctions, then its bids. A
+    stream depends only on the seed and on the Mersenne Twister's
+    ``getrandbits`` output: every value is drawn below a bound ``n`` by
+    CPython's own rule (draw ``n.bit_length()`` bits until the draw is
+    below ``n``), the rule ``random.choice`` and ``randrange`` follow.
+    Two generators with the same seed yield identical streams, and
+    consecutive calls continue one stream: ``take(a) + take(b)`` equals
+    ``take(a + b)``.
+
+    :meth:`take_by_kind` builds only the kinds its caller asks for.
+    Kinds that a caller does not ask for are drawn but not built, so the
+    records it does build are those :meth:`take` returns.
 
     Example:
         >>> gen = NexmarkGenerator(seed=7, events_per_second=100.0)
@@ -85,94 +109,147 @@ class NexmarkGenerator:
         bid_proportion: int = 46,
         auction_duration_ms: int = 60_000,
     ) -> None:
-        if events_per_second <= 0:
-            raise ValueError("events_per_second must be positive")
+        if not (math.isfinite(events_per_second) and events_per_second > 0):
+            raise ValueError(
+                f"events_per_second must be finite and positive, got "
+                f"{events_per_second!r}"
+            )
         if min(person_proportion, auction_proportion, bid_proportion) < 1:
             raise ValueError("all proportions must be >= 1")
-        self._rng = random.Random(seed)
+        self._bits = random.Random(seed).getrandbits
         self._events_per_second = events_per_second
-        self._proportions = (person_proportion, auction_proportion, bid_proportion)
-        self._cycle = sum(self._proportions)
+        #: The kind of each event of one cycle, in emission order.
+        self._slots = (
+            (_PERSON,) * person_proportion
+            + (_AUCTION,) * auction_proportion
+            + (_BID,) * bid_proportion
+        )
         self._auction_duration_ms = auction_duration_ms
-        self._next_person_id = FIRST_PERSON_ID
         self._next_auction_id = FIRST_AUCTION_ID
         self._emitted = 0
         self._live_auctions: List[int] = []
         self._known_persons: List[int] = []
 
     # ------------------------------------------------------------------
-    def _timestamp_ms(self) -> int:
-        return int(self._emitted * 1000.0 / self._events_per_second)
+    def _kinds(self, count: int) -> Iterator[int]:
+        """The kind of each of the next ``count`` events."""
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        start = self._emitted % len(self._slots)
+        return islice(cycle(self._slots), start, start + count)
 
-    def _make_person(self) -> Person:
-        pid = self._next_person_id
-        self._next_person_id += 1
-        self._known_persons.append(pid)
-        return Person(
-            person_id=pid,
-            name=self._rng.choice(_NAMES),
-            city=self._rng.choice(_CITIES),
-            state=self._rng.choice(_STATES),
-            timestamp_ms=self._timestamp_ms(),
-        )
+    def take_by_kind(
+        self, count: int, kinds: Iterable[str]
+    ) -> Tuple[List[Person], List[Auction], List[Bid]]:
+        """The persons, auctions and bids of the next ``count`` events.
 
-    def _make_auction(self) -> Auction:
-        aid = self._next_auction_id
-        self._next_auction_id += 1
-        self._live_auctions.append(aid)
-        if len(self._live_auctions) > 500:
-            self._live_auctions.pop(0)
-        seller = (
-            self._rng.choice(self._known_persons)
-            if self._known_persons
-            else FIRST_PERSON_ID
+        Only the kinds named in ``kinds`` are built; a kind left out comes
+        back as an empty list, though its values are still drawn.
+        """
+        wanted = set(kinds)
+        if not wanted <= set(KINDS):
+            unknown = sorted(wanted - set(KINDS))[0]
+            raise ValueError(
+                f"unknown event kind {unknown!r}; known: {', '.join(KINDS)}"
+            )
+        persons: List[Person] = []
+        auctions: List[Auction] = []
+        bids: List[Bid] = []
+        keep_persons = "person" in wanted
+        keep_auctions = "auction" in wanted
+        keep_bids = "bid" in wanted
+        bits = self._bits
+        rate = self._events_per_second
+        duration = self._auction_duration_ms
+        known = self._known_persons
+        live = self._live_auctions
+        auction_id = self._next_auction_id
+        first = self._emitted
+        # Every draw below a bound n is inlined as ``r = bits(k)``,
+        # repeated while ``r >= n``, with k = n.bit_length(). Slot order
+        # puts a person before the first auction and an auction before
+        # the first bid, so ``known`` and ``live`` are never empty when
+        # drawn from.
+        names_n, cities_n, states_n = len(_NAMES), len(_CITIES), len(_STATES)
+        names_k, cities_k, states_k = (
+            names_n.bit_length(), cities_n.bit_length(), states_n.bit_length()
         )
-        ts = self._timestamp_ms()
-        return Auction(
-            auction_id=aid,
-            seller_id=seller,
-            category=self._rng.randrange(10),
-            initial_bid=self._rng.randrange(1, 1000),
-            expires_ms=ts + self._auction_duration_ms,
-            timestamp_ms=ts,
-        )
-
-    def _make_bid(self) -> Bid:
-        auction = (
-            self._rng.choice(self._live_auctions)
-            if self._live_auctions
-            else FIRST_AUCTION_ID
-        )
-        bidder = (
-            self._rng.choice(self._known_persons)
-            if self._known_persons
-            else FIRST_PERSON_ID
-        )
-        return Bid(
-            auction_id=auction,
-            bidder_id=bidder,
-            price=self._rng.randrange(1, 10_000),
-            timestamp_ms=self._timestamp_ms(),
-        )
-
-    # ------------------------------------------------------------------
-    def events(self) -> Iterator[Event]:
-        """Yield an unbounded, timestamp-ordered event stream."""
-        p, a, _b = self._proportions
-        while True:
-            slot = self._emitted % self._cycle
-            if slot < p:
-                yield ("person", self._make_person())
-            elif slot < p + a:
-                yield ("auction", self._make_auction())
+        category_k = _CATEGORIES.bit_length()
+        initial_k = _INITIAL_BID_BOUND.bit_length()
+        price_k = _PRICE_BOUND.bit_length()
+        for emitted, kind in zip(range(first, first + count), self._kinds(count)):
+            if kind == _BID:
+                n = len(live)
+                k = n.bit_length()
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                auction = live[r]
+                n = len(known)
+                k = n.bit_length()
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                bidder = known[r]
+                r = bits(price_k)
+                while r >= _PRICE_BOUND:
+                    r = bits(price_k)
+                if keep_bids:
+                    ts = int(emitted * 1000.0 / rate)
+                    bids.append(Bid(auction, bidder, 1 + r, ts))
+            elif kind == _AUCTION:
+                live.append(auction_id)
+                if len(live) > _LIVE_AUCTIONS:
+                    live.pop(0)
+                n = len(known)
+                k = n.bit_length()
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                seller = known[r]
+                category = bits(category_k)
+                while category >= _CATEGORIES:
+                    category = bits(category_k)
+                r = bits(initial_k)
+                while r >= _INITIAL_BID_BOUND:
+                    r = bits(initial_k)
+                if keep_auctions:
+                    ts = int(emitted * 1000.0 / rate)
+                    auctions.append(
+                        Auction(auction_id, seller, category, 1 + r, ts + duration, ts)
+                    )
+                auction_id += 1
             else:
-                yield ("bid", self._make_bid())
-            self._emitted += 1
+                person_id = FIRST_PERSON_ID + len(known)
+                known.append(person_id)
+                name = bits(names_k)
+                while name >= names_n:
+                    name = bits(names_k)
+                city = bits(cities_k)
+                while city >= cities_n:
+                    city = bits(cities_k)
+                state = bits(states_k)
+                while state >= states_n:
+                    state = bits(states_k)
+                if keep_persons:
+                    ts = int(emitted * 1000.0 / rate)
+                    persons.append(
+                        Person(person_id, _NAMES[name], _CITIES[city], _STATES[state], ts)
+                    )
+        self._emitted = first + count
+        self._next_auction_id = auction_id
+        return persons, auctions, bids
 
     def take(self, count: int) -> List[Event]:
-        """Materialise the next ``count`` events."""
-        stream = self.events()
-        return [next(stream) for _ in range(count)]
+        """Materialise the next ``count`` events as ``(kind, record)``."""
+        kinds = list(self._kinds(count))
+        built = [iter(records) for records in self.take_by_kind(count, KINDS)]
+        return [(KINDS[kind], next(built[kind])) for kind in kinds]
+
+    def events(self) -> Iterator[Event]:
+        """Yield an unbounded, timestamp-ordered event stream."""
+        while True:
+            yield from self.take(1)
 
 
 # ----------------------------------------------------------------------

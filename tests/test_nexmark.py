@@ -1,8 +1,11 @@
 """Unit tests for the Nexmark event generator and reference semantics."""
 
+from itertools import islice
+
 import pytest
 
 from repro.workloads.nexmark import (
+    KINDS,
     Auction,
     Bid,
     NexmarkGenerator,
@@ -49,6 +52,66 @@ class TestGenerator:
             NexmarkGenerator(events_per_second=0.0)
         with pytest.raises(ValueError):
             NexmarkGenerator(person_proportion=0)
+        # NaN would fail only at the first timestamp; inf would stamp
+        # every event at 0 ms
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="events_per_second"):
+                NexmarkGenerator(events_per_second=rate)
+        with pytest.raises(ValueError, match="count"):
+            NexmarkGenerator().take(-1)
+
+    def test_events_yield_the_take_stream(self):
+        streamed = list(islice(NexmarkGenerator(seed=4).events(), 700))
+        assert streamed == NexmarkGenerator(seed=4).take(700)
+
+    def test_consecutive_calls_continue_one_stream(self):
+        gen = NexmarkGenerator(seed=4)
+        pieces = gen.take(1) + gen.take(123) + list(islice(gen.events(), 77))
+        persons, auctions, bids = gen.take_by_kind(2000, KINDS)
+        rest = gen.take(300)
+        whole = NexmarkGenerator(seed=4).take(2501)
+        assert pieces == whole[:201]
+        assert (persons, auctions, bids) == tuple(
+            [r for k, r in whole[201:2201] if k == kind] for kind in KINDS
+        )
+        assert rest == whole[2201:]
+
+
+PROPORTIONS = [
+    {"seed": 4},
+    {"seed": 9, "events_per_second": 333.3, "person_proportion": 2,
+     "auction_proportion": 5, "bid_proportion": 13},
+]
+
+
+class TestTakeByKind:
+    @pytest.mark.parametrize("kwargs", PROPORTIONS)
+    def test_equals_a_filter_over_take(self, kwargs):
+        stream = NexmarkGenerator(**kwargs).take(6000)
+        split = NexmarkGenerator(**kwargs).take_by_kind(6000, KINDS)
+        assert split == tuple([r for k, r in stream if k == kind] for kind in KINDS)
+        assert all(split)
+
+    @pytest.mark.parametrize("kwargs", PROPORTIONS)
+    @pytest.mark.parametrize(
+        "asked", [("person",), ("auction",), ("bid",), ("person", "auction"), ()]
+    )
+    def test_kinds_not_asked_for_come_back_empty(self, kwargs, asked):
+        full = NexmarkGenerator(**kwargs).take_by_kind(6000, KINDS)
+        gen = NexmarkGenerator(**kwargs)
+        split = gen.take_by_kind(6000, asked)
+        for kind, records, expected in zip(KINDS, split, full):
+            assert records == (expected if kind in asked else [])
+        # what was not built was still drawn: the stream goes on the same
+        after = NexmarkGenerator(**kwargs)
+        after.take(6000)
+        assert gen.take(500) == after.take(500)
+
+    def test_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="'bids'"):
+            NexmarkGenerator().take_by_kind(10, ("bids",))
+        with pytest.raises(ValueError, match="count"):
+            NexmarkGenerator().take_by_kind(-1, KINDS)
 
 
 class TestSlidingWindowHotItems:
