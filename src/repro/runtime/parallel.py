@@ -67,7 +67,7 @@ from repro.runtime.operators import (
 from repro.runtime.state import StateStats
 from repro.simulator.contention import share_resources, thread_cap
 from repro.simulator.engine import SimulationConfig
-from repro.simulator.metrics import check_warmup
+from repro.simulator.metrics import check_duration, check_warmup
 from repro.simulator.network import NicModel
 from repro.simulator.state_backend import DiskModel
 
@@ -849,9 +849,10 @@ class ShardedExecutor:
         ``duration_s``/``warmup_s`` only apply to paced mode (a virtual
         wall to run to, and the summary's warmup cut); the single-
         instance and semantic modes always run their datasets to
-        completion. In paced mode ``warmup_s`` must lie below the run's
-        end: ``duration_s``, or the last slice's end when ``duration_s``
-        is None (the datasets run to completion).
+        completion. In paced mode ``duration_s`` must be finite and
+        positive, or None (the datasets run to completion), and
+        ``warmup_s`` must lie below the run's end: ``duration_s``, or the
+        last slice's end when ``duration_s`` is None.
         """
         if self.physical is None:
             return self._run_single_instance()
@@ -906,6 +907,8 @@ class ShardedExecutor:
     def _run_paced(
         self, duration_s: Optional[float], warmup_s: float
     ) -> RuntimeJobSummary:
+        if duration_s is not None:
+            check_duration(duration_s)
         check_warmup(warmup_s, math.inf if duration_s is None else duration_s)
         dt = _SLICE_S
         rates = [

@@ -61,7 +61,12 @@ from repro.simulator.contention import (
 )
 from repro.faults.checkpoint import CheckpointConfig
 from repro.observability import MetricRegistry, Tracer
-from repro.simulator.metrics import MetricsCollector, TickSample, check_warmup
+from repro.simulator.metrics import (
+    MetricsCollector,
+    TickSample,
+    check_duration,
+    check_warmup,
+)
 from repro.simulator.network import NicModel
 from repro.simulator.results import SimulationSummary
 from repro.simulator.state_backend import DiskModel
@@ -1289,11 +1294,11 @@ class FluidSimulation:
     def run(self, duration_s: Seconds, warmup_s: Seconds = 0.0) -> SimulationSummary:
         """Simulate for ``duration_s`` and summarise the post-warmup part.
 
-        ``warmup_s`` is absolute simulated time: it must lie below the
-        engine's ``time_s`` after this run (a run may follow another).
+        ``duration_s`` must be finite and positive. ``warmup_s`` is
+        absolute simulated time: it must lie below the engine's
+        ``time_s`` after this run (a run may follow another).
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        check_duration(duration_s)
         ticks = max(1, int(round(duration_s / self.config.dt)))
         end_tick = self._tick_index + ticks
         check_warmup(warmup_s, end_tick * self.config.dt)

@@ -473,6 +473,14 @@ class MetricsCollector:
         return SimulationSummary(jobs=jobs, duration_s=duration, warmup_s=warmup_s)
 
 
+def check_duration(duration_s: Seconds) -> None:
+    """Reject a run length that is not finite and positive."""
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(
+            f"duration_s must be finite and positive, got {duration_s!r}"
+        )
+
+
 def check_warmup(warmup_s: Seconds, end_s: Seconds) -> None:
     """Reject a warmup that leaves no measured window before ``end_s``.
 

@@ -309,6 +309,11 @@ class TestRunDrivers:
         sim = FluidSimulation(physical, cluster, spread_plan(physical, 2), {"src": 100.0})
         with pytest.raises(ValueError):
             sim.run(0.0)
+        # an endless or undefined run is refused before any tick
+        for duration in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="duration_s"):
+                sim.run(duration)
+        assert sim.time_s == 0.0
 
     @pytest.mark.parametrize("warmup", [10.0, 50.0, -1.0, float("nan")])
     def test_run_rejects_a_warmup_without_a_window(self, warmup):

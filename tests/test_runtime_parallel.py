@@ -228,6 +228,16 @@ class TestPacedInputs:
         with pytest.raises(ValueError, match="'source'"):
             self._executor(events["bids"], source_rates={"other": 460.0})
 
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_duration_must_be_finite_and_positive(self, events, duration):
+        # an infinite duration would pace slices forever
+        executor = self._executor(events["bids"])
+        with pytest.raises(ValueError, match="duration_s"):
+            executor.run(duration_s=duration)
+        # rejected before any slice: a valid run afterwards is a fresh one
+        fresh = self._executor(events["bids"]).run(duration_s=4.0)
+        assert executor.run(duration_s=4.0).summary == fresh.summary
+
     @pytest.mark.parametrize("warmup", [4.0, 50.0, -1.0, float("nan")])
     def test_warmup_must_lie_below_the_duration(self, events, warmup):
         # at the end, past it, negative, not a number
