@@ -147,10 +147,10 @@ class NexmarkGenerator:
         back as an empty list, though its values are still drawn.
         """
         wanted = set(kinds)
-        if not wanted <= set(KINDS):
-            unknown = sorted(wanted - set(KINDS))[0]
+        unknown = wanted.difference(KINDS)
+        if unknown:
             raise ValueError(
-                f"unknown event kind {unknown!r}; known: {', '.join(KINDS)}"
+                f"unknown event kind {min(unknown)!r}; known: {', '.join(KINDS)}"
             )
         persons: List[Person] = []
         auctions: List[Auction] = []
