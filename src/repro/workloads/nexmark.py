@@ -233,9 +233,9 @@ class NexmarkGenerator:
                     state = bits(states_k)
                 if keep_persons:
                     ts = int(emitted * 1000.0 / rate)
-                    persons.append(
-                        Person(person_id, _NAMES[name], _CITIES[city], _STATES[state], ts)
-                    )
+                    persons.append(Person(
+                        person_id, _NAMES[name], _CITIES[city], _STATES[state], ts
+                    ))
         self._emitted = first + count
         self._next_auction_id = auction_id
         return persons, auctions, bids
