@@ -77,7 +77,7 @@ class TestGenerator:
         assert rest == whole[2201:]
 
 
-PROPORTIONS = [
+SETTINGS = [
     {"seed": 4},
     {"seed": 9, "events_per_second": 333.3, "person_proportion": 2,
      "auction_proportion": 5, "bid_proportion": 13},
@@ -85,14 +85,14 @@ PROPORTIONS = [
 
 
 class TestTakeByKind:
-    @pytest.mark.parametrize("kwargs", PROPORTIONS)
+    @pytest.mark.parametrize("kwargs", SETTINGS)
     def test_equals_a_filter_over_take(self, kwargs):
         stream = NexmarkGenerator(**kwargs).take(6000)
         split = NexmarkGenerator(**kwargs).take_by_kind(6000, KINDS)
         assert split == tuple([r for k, r in stream if k == kind] for kind in KINDS)
         assert all(split)
 
-    @pytest.mark.parametrize("kwargs", PROPORTIONS)
+    @pytest.mark.parametrize("kwargs", SETTINGS)
     @pytest.mark.parametrize(
         "asked", [("person",), ("auction",), ("bid",), ("person", "auction"), ()]
     )
