@@ -28,6 +28,10 @@ from repro.core.plan import PlacementPlan
 
 DIMENSIONS: Tuple[str, str, str] = ("cpu", "io", "net")
 
+#: Tolerance of Eq. 9: a plan satisfies alpha in a dimension when its
+#: normalised cost is at most ``alpha + ALPHA_EPS``.
+ALPHA_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class UnitCosts:
@@ -100,7 +104,7 @@ class CostVector:
         strictly_better = any(self[d] < other[d] - eps for d in DIMENSIONS)
         return no_worse and strictly_better
 
-    def within(self, thresholds: "CostVector", eps: float = 1e-9) -> bool:
+    def within(self, thresholds: "CostVector", eps: float = ALPHA_EPS) -> bool:
         """Whether every dimension satisfies Eq. 9 for the given alphas."""
         return all(self[d] <= thresholds[d] + eps for d in DIMENSIONS)
 
@@ -288,6 +292,14 @@ class CostModel:
         net_table = costs.of("net")
         self._l_min["net"] = 0.0
         self._l_max["net"] = sum(sorted(net_table.values(), reverse=True)[: self._slots])
+        # Eq. 4 divides by L_max - L_min; where the two are float-close,
+        # every plan costs 0 in that dimension.
+        self._flat: Dict[str, bool] = {
+            dim: math.isclose(
+                self._l_max[dim], self._l_min[dim], rel_tol=1e-12, abs_tol=1e-12
+            )
+            for dim in DIMENSIONS
+        }
 
         self._down_degree: Dict[str, int] = {
             t.uid: physical.downstream_degree(t) for t in physical.tasks
@@ -303,6 +315,10 @@ class CostModel:
     def l_max(self, dimension: str) -> float:
         """The worst-case per-worker load ``L_i^max`` (Eq. 7)."""
         return self._l_max[dimension]
+
+    def is_flat(self, dimension: str) -> bool:
+        """Whether every plan costs 0 in this dimension (``L_max ~= L_min``)."""
+        return self._flat[dimension]
 
     def load_bound(self, dimension: str, alpha: float) -> float:
         """The pruning bound of Eq. 10: ``L_min + alpha (L_max - L_min)``."""
@@ -384,9 +400,9 @@ class CostModel:
 
     def dimension_cost(self, plan: PlacementPlan, dimension: str) -> float:
         """Eq. 4 for one dimension: normalised bottleneck excess load."""
-        l_max, l_min = self._l_max[dimension], self._l_min[dimension]
-        if math.isclose(l_max, l_min, rel_tol=1e-12, abs_tol=1e-12):
+        if self._flat[dimension]:
             return 0.0
+        l_max, l_min = self._l_max[dimension], self._l_min[dimension]
         return (self.load(plan, dimension) - l_min) / (l_max - l_min)
 
     def cost(self, plan: PlacementPlan) -> CostVector:
@@ -401,9 +417,9 @@ class CostModel:
         """Cost vector from precomputed bottleneck loads (search fast path)."""
         values = {}
         for dim in DIMENSIONS:
-            l_max, l_min = self._l_max[dim], self._l_min[dim]
-            if math.isclose(l_max, l_min, rel_tol=1e-12, abs_tol=1e-12):
+            if self._flat[dim]:
                 values[dim] = 0.0
             else:
+                l_max, l_min = self._l_max[dim], self._l_min[dim]
                 values[dim] = (loads[dim] - l_min) / (l_max - l_min)
         return CostVector(**values)

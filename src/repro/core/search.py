@@ -56,14 +56,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.observability import clock
-from repro.core.cost_model import CostModel, CostVector, DIMENSIONS
+from repro.core.cost_model import ALPHA_EPS, CostModel, CostVector, DIMENSIONS
 from repro.core.pareto import ParetoFront
 from repro.core.plan import PlacementPlan
 from repro.core.reorder import exploration_order
 
 OperatorKey = Tuple[str, str]
 
-_EPS = 1e-9
 _DEADLINE_CHECK_INTERVAL = 4096
 
 
@@ -235,7 +234,7 @@ class _Layer:
     resolutions: List[Tuple[int, str, bool]] = field(default_factory=list)
     # Hoisted per-layer invariants, filled in once by CapsSearch: whether
     # the cpu/io load bound actively caps this layer (non-zero unit cost
-    # and a finite bound) and the bound value inclusive of the float
+    # and a finite bound) and the bound value inclusive of the Eq. 9
     # tolerance, so the inner loop never re-derives them per node.
     cap_cpu: bool = False
     cap_io: bool = False
@@ -338,20 +337,25 @@ class CapsSearch:
             if vector[dim] < 0:
                 raise ValueError(f"threshold alpha_{dim} must be >= 0")
         self.thresholds = vector
-        # Load bounds carry a relative tolerance: partial loads are sums
-        # of floats accumulated in arbitrary order, so an exact-boundary
-        # plan (alpha = 1, or L == bound) must not be lost to the last
-        # bit of a large-magnitude sum.
+        # Each load bound is Eq. 10 at alpha + ALPHA_EPS, the tolerance
+        # CostVector.within grants a normalised cost. The slack thus
+        # scales with the dimension's spread L_max - L_min, so the pruned
+        # search keeps the plans within() accepts at any load magnitude
+        # (up to the rounding of alpha + ALPHA_EPS itself), and a plan at
+        # alpha exactly is not lost to the last bit of a float sum. A flat
+        # dimension costs 0 for every plan, so no alpha can cut it.
         self._bounds: Dict[str, float] = {}
         for dim in DIMENSIONS:
-            bound = self.cost_model.load_bound(dim, vector[dim])
-            if math.isfinite(bound):
-                bound += _EPS + 1e-9 * abs(bound)
-            self._bounds[dim] = bound
+            if self.cost_model.is_flat(dim):
+                self._bounds[dim] = math.inf
+            else:
+                self._bounds[dim] = self.cost_model.load_bound(
+                    dim, vector[dim] + ALPHA_EPS
+                )
         # Hoist the per-layer pruning invariants out of the inner loop.
-        limit_cpu = self._bounds["cpu"] + _EPS
-        limit_io = self._bounds["io"] + _EPS
-        self._limit_net: float = self._bounds["net"] + _EPS
+        limit_cpu = self._bounds["cpu"]
+        limit_io = self._bounds["io"]
+        self._limit_net: float = self._bounds["net"]
         for layer in self._layers:
             layer.cap_cpu = layer.u_cpu > 0 and not math.isinf(limit_cpu)
             layer.cap_io = layer.u_io > 0 and not math.isinf(limit_io)

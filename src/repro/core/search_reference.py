@@ -37,7 +37,6 @@ from repro.core.search import (
     SearchResult,
     SearchStats,
     _DEADLINE_CHECK_INTERVAL,
-    _EPS,
     _Layer,
     _StopSearch,
 )
@@ -162,13 +161,13 @@ class _ReferenceSearchState:
             ub = min(ub, last_in_group[group])
         bounds = self.search._bounds
         if layer.u_cpu > 0 and not math.isinf(bounds["cpu"]):
-            headroom = bounds["cpu"] + _EPS - self.load_cpu[position]
+            headroom = bounds["cpu"] - self.load_cpu[position]
             cap = int(math.floor(headroom / layer.u_cpu)) if headroom > 0 else -1
             if cap < ub:
                 self.stats.pruned_cpu += 1
                 ub = cap
         if layer.u_io > 0 and not math.isinf(bounds["io"]):
-            headroom = bounds["io"] + _EPS - self.load_io[position]
+            headroom = bounds["io"] - self.load_io[position]
             cap = int(math.floor(headroom / layer.u_io)) if headroom > 0 else -1
             if cap < ub:
                 self.stats.pruned_io += 1
@@ -229,7 +228,7 @@ class _ReferenceSearchState:
         net_deltas = self._resolve_net(layer_idx, layer, snapshot)
         bound_net = self.search._bounds["net"]
         violated = any(
-            self.load_net[w] > bound_net + _EPS for w, _ in net_deltas
+            self.load_net[w] > bound_net for w, _ in net_deltas
         )
         old_histories = self.histories
         if not violated:

@@ -124,6 +124,52 @@ def test_pruning_is_sound_and_complete(problem, alpha):
     assert pruned.stats.nodes <= unpruned.stats.nodes
 
 
+def _one_operator_model(workers, slots):
+    """Three equal source tasks at 100 records/s on a homogeneous cluster."""
+    g = LogicalGraph("g")
+    g.add_operator(
+        OperatorSpec("op0", cpu_per_record=1e-5, out_record_bytes=50.0, is_source=True),
+        parallelism=3,
+    )
+    physical = PhysicalGraph.expand(g)
+    spec = WorkerSpec(
+        cpu_capacity=4.0, disk_bandwidth=1e8, network_bandwidth=1e9, slots=slots
+    )
+    cluster = Cluster.homogeneous(spec, count=workers)
+    costs = TaskCosts.from_specs(physical, {("g", "op0"): 100.0})
+    return CostModel(physical, cluster, costs)
+
+
+def test_pruning_tolerance_scales_with_the_load_spread():
+    """A cpu spread of 1.7e-4 CPU must not widen alpha: the one plan (2/1)
+    costs exactly 1 in cpu, so alpha = 1 - 1e-5 finds nothing."""
+    model = _one_operator_model(workers=2, slots=2)
+    assert model.l_max("cpu") - model.l_min("cpu") < 2e-4
+
+    def plan_costs(alpha):
+        thresholds = CostVector(cpu=alpha, io=alpha, net=alpha)
+        search = CapsSearch(model, thresholds=thresholds, collect_all=True)
+        return [cost.cpu for cost, _ in search.run().all_plans]
+
+    assert plan_costs(1.0) == [pytest.approx(1.0)]
+    assert plan_costs(1.0 - 1e-5) == []
+
+
+def test_a_flat_dimension_is_not_bounded():
+    """Three equal tasks on three one-slot workers: each worker's cpu load
+    is one ulp above L_min = 3u / 3, yet every plan costs 0 in cpu, so
+    alpha = 0 keeps the plan."""
+    model = _one_operator_model(workers=3, slots=1)
+    assert model.is_flat("cpu")
+    assert model.l_max("cpu") > model.l_min("cpu")
+    search = CapsSearch(
+        model, thresholds=CostVector(cpu=0.0, io=0.0, net=0.0), collect_all=True
+    )
+    assert search.bounds["cpu"] == math.inf
+    result = search.run()
+    assert [cost.as_tuple() for cost, _ in result.all_plans] == [(0.0, 0.0, 0.0)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(placement_problems())
 def test_reordering_is_plan_set_invariant(problem):
